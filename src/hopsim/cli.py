@@ -108,13 +108,9 @@ class RunConfig:
             hops = 3
         if duration is not None and hops is not None:
             raise ConfigError("specify duration or hops, not both")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.control_rate <= 0:
-            raise ConfigError("control_rate must be positive")
         if self.controller not in ("force", "position", "spring"):
             raise ConfigError(f"unknown controller {self.controller!r}")
-        return sim.RunSetup(
+        setup = sim.RunSetup(
             bundle=bundle,
             controller=self.controller,
             duration=duration,
@@ -122,6 +118,11 @@ class RunConfig:
             dt=self.dt,
             control_rate=self.control_rate,
         )
+        try:
+            sim.check_setup(setup)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return setup
 
 
 def _run_preset(name: str) -> RunConfig:
@@ -385,9 +386,11 @@ def _summary_csv(rows: list[RunSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_run_files(out: Path, result: sim.RunResult, plots: bool) -> None:
+def _emit_run_files(out: Path, result: sim.RunResult, plots: bool) -> RunSummary:
+    """Write one run's files; returns the summary written to summary.csv."""
     write_atomic(out / "run.csv", result.log.to_csv())
-    write_atomic(out / "summary.csv", _summary_csv([summarize(result)]))
+    summary = summarize(result)
+    write_atomic(out / "summary.csv", _summary_csv([summary]))
     write_atomic(out / "status.txt", result.status + "\n")
     if plots:
         motor = result.setup.bundle.motor
@@ -416,6 +419,7 @@ def _emit_run_files(out: Path, result: sim.RunResult, plots: bool) -> None:
                 ylabel="y_foot (m)",
             ),
         )
+    return summary
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -442,17 +446,17 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     aborts is marked failed while the other side is still reported.
     """
     out = Path(config_a.out_dir)
-    results = []
+    results, summaries = [], []
     for label, cfg in (("a", config_a), ("b", config_b)):
         sub = out / f"{label}-{cfg.controller}"
         try:
             result = sim.run(cfg.resolve())
         except HopsimError as exc:
             raise ConfigError(str(exc)) from exc
-        _emit_run_files(sub, result, cfg.emit_plots)
+        summaries.append(_emit_run_files(sub, result, cfg.emit_plots))
         results.append(result)
     ra, rb = results
-    sa, sb = summarize(ra), summarize(rb)
+    sa, sb = summaries
 
     def delta(x, y):
         if x is None or y is None:

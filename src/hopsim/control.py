@@ -184,16 +184,14 @@ class _TrajectoryController:
         geo: LegGeometry,
         motor: MotorParams,
         cycle: analytic.TrajectoryCycle | None = None,
-        reach_margin: float = 1e-3,
     ):
         self.params = p
         self.geometry = geo
         self.motor = motor
         self.cycle = cycle if cycle is not None else analytic.TrajectoryCycle(p)
         self.clock = _TrajectoryScheduler(self.cycle)
-        lo, hi = kinematics.reach_interval(geo)
-        self._y_lo = lo + reach_margin
-        self._y_hi = hi - reach_margin
+        # Desired lengths are capped at the leg stops.
+        self._y_lo, self._y_hi = geo.constants.y_lo, geo.constants.y_hi
 
     def advance(self, dt: float, phase: HopPhase, y_rel: float, v_rel: float) -> None:
         self.clock.advance(dt, phase, y_rel, v_rel)

@@ -11,10 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 STANDARD_GRAVITY = 9.81  # m/s^2
+REACH_MARGIN = 1e-3  # m; the leg stops sit this far inside the reach interval
 
 
 class HopPhase(enum.Enum):
@@ -64,6 +67,20 @@ class Gains:
     k_d: float = 9.0     # N*m*s/rad
 
 
+class LegConstants(NamedTuple):
+    """Constants of the leg-length map, derived once per geometry."""
+
+    y_lo: float      # folded stop, |L1 - L2| + REACH_MARGIN
+    y_hi: float      # straight stop, L1 + L2 - REACH_MARGIN
+    sum_sq: float    # L1**2 + L2**2
+    two_l1l2: float  # 2*L1*L2
+    neg_l1l2: float  # -L1*L2
+    neg_l2: float    # -L2
+    l1: float
+    l2: float
+    knee_sign: int
+
+
 @dataclass(frozen=True)
 class LegGeometry:
     """Planar two-link leg on a vertical guide."""
@@ -71,6 +88,22 @@ class LegGeometry:
     L1: float = 0.38       # thigh length, m
     L2: float = 0.361      # shank length, m
     knee_sign: int = 1     # IK branch selector; +1 = backward knee
+
+    @cached_property
+    def constants(self) -> LegConstants:
+        """Stop interval and leg-map constants, computed on first use."""
+        L1, L2 = self.L1, self.L2
+        return LegConstants(
+            y_lo=abs(L1 - L2) + REACH_MARGIN,
+            y_hi=L1 + L2 - REACH_MARGIN,
+            sum_sq=L1**2 + L2**2,
+            two_l1l2=2.0 * L1 * L2,
+            neg_l1l2=-L1 * L2,
+            neg_l2=-L2,
+            l1=L1,
+            l2=L2,
+            knee_sign=self.knee_sign,
+        )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,16 @@ task-space force, both under gravity.  Phase transitions are detected by
 sign crossings (stance pin force for lift-off, foot height for touchdown),
 located by linear interpolation within a step.
 
+Both the run loop and :func:`step` go through one substep core,
+:func:`_substep`, which evaluates each distinct leg configuration once.  The
+force evaluated at the state after a substep is that step's post-step pin
+force and the next substep's stage-1 force and pre-step pin force; the last
+evaluation of a tick also gives the joint state recorded for it.  Only the
+stage 2-4 states of each RK4 step, the state after an event, and the first
+state of a tick under new torques are evaluated afresh.  The reuse changes no
+floating-point operation, so telemetry is byte-identical to evaluating every
+configuration each time it is needed.
+
 The module also provides :class:`TwoMassReference`, an RK4-plus-events
 integration of the ideal two-mass model itself (the dynamics the closed-form
 trajectory solves), used as the numeric oracle for switch times and the hop
@@ -135,42 +145,37 @@ class RunResult:
 
 def _leg_terms(y_rel: float, geo: LegGeometry):
     """(theta_knee, dy_dknee, dhip_dknee) at a reach-capped leg length."""
-    lo = abs(geo.L1 - geo.L2) + 1e-3
-    hi = geo.L1 + geo.L2 - 1e-3
-    y = min(max(y_rel, lo), hi)
-    cos_gamma = (geo.L1**2 + geo.L2**2 - y * y) / (2.0 * geo.L1 * geo.L2)
-    cos_gamma = min(1.0, max(-1.0, cos_gamma))
-    gamma = math.acos(cos_gamma)
-    theta_k = geo.knee_sign * (math.pi - gamma)
-    sin_k = math.sin(theta_k)
-    cos_k = -cos_gamma
-    dy_dknee = -geo.L1 * geo.L2 * sin_k / y
-    dhip_dknee = -geo.L2 * (geo.L2 + geo.L1 * cos_k) / (y * y)
-    return theta_k, dy_dknee, dhip_dknee
+    y_lo, y_hi, sum_sq, two_l1l2, neg_l1l2, neg_l2, l1, l2, knee_sign = geo.constants
+    y = y_lo if y_rel < y_lo else y_rel
+    if y > y_hi:
+        y = y_hi
+    cos_gamma = (sum_sq - y * y) / two_l1l2
+    if not -1.0 < cos_gamma < 1.0:
+        cos_gamma = 1.0 if cos_gamma >= 1.0 else -1.0
+    theta_k = knee_sign * (math.pi - math.acos(cos_gamma))
+    # cos(theta_k) is -cos_gamma, so L2 + L1*cos(theta_k) is L2 - L1*cos_gamma.
+    return (
+        theta_k,
+        neg_l1l2 * math.sin(theta_k) / y,
+        neg_l2 * (l2 - l1 * cos_gamma) / (y * y),
+    )
 
 
-def _force_from_torques(y_rel: float, tau_hip: float, tau_knee: float, geo: LegGeometry) -> float:
-    """Vertical task force of held joint torques at the current configuration."""
-    _, dy_dknee, dhip_dknee = _leg_terms(y_rel, geo)
-    if dy_dknee == 0.0:
-        return 0.0
-    return (tau_knee + tau_hip * dhip_dknee) / dy_dknee
-
-
-def joint_state_for(y_rel: float, v_rel: float, geo: LegGeometry) -> kinematics.JointState:
-    """Joint angles and rates of the aligned leg at the given length/rate."""
-    theta_k, dy_dknee, dhip_dknee = _leg_terms(y_rel, geo)
-    theta_h = kinematics.hip_alignment_angle(theta_k, geo)
-    if dy_dknee != 0.0:
-        thetad_k = v_rel / dy_dknee
-    else:
-        thetad_k = 0.0
+def _joints_from(terms, v_rel: float, geo: LegGeometry) -> kinematics.JointState:
+    """Joint angles and rates of the aligned leg from its leg terms."""
+    theta_k, dy_dknee, dhip_dknee = terms
+    thetad_k = v_rel / dy_dknee if dy_dknee != 0.0 else 0.0
     return kinematics.JointState(
-        theta_hip=theta_h,
+        theta_hip=kinematics.hip_alignment_angle(theta_k, geo),
         theta_knee=theta_k,
         thetad_hip=dhip_dknee * thetad_k,
         thetad_knee=thetad_k,
     )
+
+
+def joint_state_for(y_rel: float, v_rel: float, geo: LegGeometry) -> kinematics.JointState:
+    """Joint angles and rates of the aligned leg at the given length/rate."""
+    return _joints_from(_leg_terms(y_rel, geo), v_rel, geo)
 
 
 def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
@@ -182,8 +187,7 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
     stop is absorbed (stance: the body stops on the folded or straight leg;
     flight: both masses continue at the common center-of-mass velocity).
     """
-    lo = abs(geo.L1 - geo.L2) + 1e-3
-    hi = geo.L1 + geo.L2 - 1e-3
+    lo, hi = geo.constants.y_lo, geo.constants.y_hi
     if phase is HopPhase.STANCE:
         if yb < lo:
             yb, vb = lo, max(vb, 0.0)
@@ -206,64 +210,124 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
 
 
 ForceLaw = Callable[[float, float], float]  # (y_rel, v_rel) -> task force, N
+# (y_rel, v_rel) -> (task force, leg terms or None)
+PlantLaw = Callable[[float, float], tuple[float, tuple | None]]
 
 
-def _make_force_fn(cmd: control.JointCommands | None, law: ForceLaw | None, geo: LegGeometry) -> ForceLaw:
+def _plant_law(
+    cmd: control.JointCommands | None, law: ForceLaw | None, geo: LegGeometry
+) -> PlantLaw:
+    """The plant's force evaluation: (y_rel, v_rel) -> (task force, leg terms).
+
+    Held joint torques map to the task force through the leg terms at the
+    configuration, which are returned with the force so the caller can reuse
+    them for the joint state.  A continuous ``law`` reads no leg terms and
+    returns None in their place.
+    """
     if law is not None:
-        return law
+        return lambda y_rel, v_rel: (law(y_rel, v_rel), None)
     tau_h = cmd.hip.tau_des if cmd is not None else 0.0
     tau_k = cmd.knee.tau_des if cmd is not None else 0.0
-    return lambda y_rel, v_rel: _force_from_torques(y_rel, tau_h, tau_k, geo)
+
+    def held(y_rel, v_rel):
+        terms = _leg_terms(y_rel, geo)
+        dy_dknee = terms[1]
+        if dy_dknee == 0.0:
+            return 0.0, terms
+        return (tau_k + tau_h * terms[2]) / dy_dknee, terms
+
+    return held
 
 
 # --- RK4 sub-steps ---------------------------------------------------------
 
 
-def _rk4_stance(y, v, dt, p: HopperParams, force):
-    """One stance step: body only, foot pinned at the origin."""
+def _rk4_stance(y, v, f, dt, p: HopperParams, law):
+    """One stance step: body only, foot pinned at the origin.
+
+    ``f`` is the task force at (y, v), already evaluated by the caller.
+    """
     inv_m = 1.0 / p.m
     g = p.g
-
-    def acc(yy, vv):
-        return -g + force(yy, vv) * inv_m
-
-    a1 = acc(y, v)
-    y2, v2 = y + 0.5 * dt * v, v + 0.5 * dt * a1
-    a2 = acc(y2, v2)
-    y3, v3 = y + 0.5 * dt * v2, v + 0.5 * dt * a2
-    a3 = acc(y3, v3)
+    h = 0.5 * dt
+    a1 = -g + f * inv_m
+    y2, v2 = y + h * v, v + h * a1
+    a2 = -g + law(y2, v2)[0] * inv_m
+    y3, v3 = y + h * v2, v + h * a2
+    a3 = -g + law(y3, v3)[0] * inv_m
     y4, v4 = y + dt * v3, v + dt * a3
-    a4 = acc(y4, v4)
-    y_n = y + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v_n = v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    a4 = -g + law(y4, v4)[0] * inv_m
+    dt6 = dt / 6.0
+    y_n = y + dt6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v_n = v + dt6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return y_n, v_n
 
 
-def _rk4_flight(yb, vb, yf, vf, dt, p: HopperParams, force):
-    """One flight step: body and foot coupled by the leg force, both falling."""
+def _rk4_flight(yb, vb, yf, vf, f, dt, p: HopperParams, law):
+    """One flight step: body and foot coupled by the leg force, both falling.
+
+    ``f`` is the task force at the start state, already evaluated by the
+    caller.
+    """
     inv_m = 1.0 / p.m
     inv_me = 1.0 / p.m_e
     g = p.g
-
-    def acc(yb_, vb_, yf_, vf_):
-        f = force(yb_ - yf_, vb_ - vf_)
-        return -g + f * inv_m, -g - f * inv_me
-
-    ab1, af1 = acc(yb, vb, yf, vf)
-    yb2, vb2 = yb + 0.5 * dt * vb, vb + 0.5 * dt * ab1
-    yf2, vf2 = yf + 0.5 * dt * vf, vf + 0.5 * dt * af1
-    ab2, af2 = acc(yb2, vb2, yf2, vf2)
-    yb3, vb3 = yb + 0.5 * dt * vb2, vb + 0.5 * dt * ab2
-    yf3, vf3 = yf + 0.5 * dt * vf2, vf + 0.5 * dt * af2
-    ab3, af3 = acc(yb3, vb3, yf3, vf3)
+    h = 0.5 * dt
+    ab1, af1 = -g + f * inv_m, -g - f * inv_me
+    yb2, vb2 = yb + h * vb, vb + h * ab1
+    yf2, vf2 = yf + h * vf, vf + h * af1
+    f = law(yb2 - yf2, vb2 - vf2)[0]
+    ab2, af2 = -g + f * inv_m, -g - f * inv_me
+    yb3, vb3 = yb + h * vb2, vb + h * ab2
+    yf3, vf3 = yf + h * vf2, vf + h * af2
+    f = law(yb3 - yf3, vb3 - vf3)[0]
+    ab3, af3 = -g + f * inv_m, -g - f * inv_me
     yb4, vb4 = yb + dt * vb3, vb + dt * ab3
     yf4, vf4 = yf + dt * vf3, vf + dt * af3
-    ab4, af4 = acc(yb4, vb4, yf4, vf4)
-    yb_n = yb + dt / 6.0 * (vb + 2.0 * vb2 + 2.0 * vb3 + vb4)
-    vb_n = vb + dt / 6.0 * (ab1 + 2.0 * ab2 + 2.0 * ab3 + ab4)
-    yf_n = yf + dt / 6.0 * (vf + 2.0 * vf2 + 2.0 * vf3 + vf4)
-    vf_n = vf + dt / 6.0 * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
+    f = law(yb4 - yf4, vb4 - vf4)[0]
+    ab4, af4 = -g + f * inv_m, -g - f * inv_me
+    dt6 = dt / 6.0
+    yb_n = yb + dt6 * (vb + 2.0 * vb2 + 2.0 * vb3 + vb4)
+    vb_n = vb + dt6 * (ab1 + 2.0 * ab2 + 2.0 * ab3 + ab4)
+    yf_n = yf + dt6 * (vf + 2.0 * vf2 + 2.0 * vf3 + vf4)
+    vf_n = vf + dt6 * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
     return yb_n, vb_n, yf_n, vf_n
+
+
+def _substep(phase, yb, vb, yf, vf, f, t, dt, p: HopperParams, geo: LegGeometry, law):
+    """One RK4 step of the active phase from time ``t``, then the leg stops.
+
+    ``f`` is the task force at the start state.  Returns the new state with
+    its own force evaluation ``(f, terms)``, which serves the next step as
+    its stage-1 force and the caller as the post-step pin force.
+    """
+    if phase is HopPhase.STANCE:
+        nyb, nvb = _rk4_stance(yb, vb, f, dt, p, law)
+        nyf, nvf = yf, vf
+    else:
+        nyb, nvb, nyf, nvf = _rk4_flight(yb, vb, yf, vf, f, dt, p, law)
+    nyb, nvb, nyf, nvf = _apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
+    if not (math.isfinite(nyb) and math.isfinite(nvb) and math.isfinite(nyf) and math.isfinite(nvf)):
+        raise SimulationAbort(f"non-finite state at t={t + dt:.6f}")
+    nf, terms = law(nyb - nyf, nvb - nvf)
+    return nyb, nvb, nyf, nvf, nf, terms
+
+
+def _state_at(t, phase, yb, vb, yf, vf, f, terms, cmd, p: HopperParams, geo: LegGeometry) -> SimState:
+    """SimState at the end of a step, from the force evaluation made there."""
+    if terms is None:
+        terms = _leg_terms(yb - yf, geo)
+    return SimState(
+        t=t,
+        phase=phase,
+        y_body=yb,
+        v_body=vb,
+        y_foot=yf,
+        v_foot=vf,
+        joints=_joints_from(terms, vb - vf, geo),
+        last_cmd=cmd,
+        pin_force=p.m_e * p.g + f if phase is HopPhase.STANCE else 0.0,
+    )
 
 
 def step(
@@ -283,30 +347,11 @@ def step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    force = _make_force_fn(cmd, force_law, geo)
-    if state.phase is HopPhase.STANCE:
-        y, v = _rk4_stance(state.y_body, state.v_body, dt, p, force)
-        yf, vf = state.y_foot, state.v_foot
-    else:
-        y, v, yf, vf = _rk4_flight(
-            state.y_body, state.v_body, state.y_foot, state.v_foot, dt, p, force
-        )
-    y, v, yf, vf = _apply_leg_stops(state.phase, y, v, yf, vf, p, geo)
-    if not (math.isfinite(y) and math.isfinite(v) and math.isfinite(yf) and math.isfinite(vf)):
-        raise SimulationAbort(f"non-finite state after step at t={state.t + dt:.6f}")
-    t = state.t + dt
-    pin = p.m_e * p.g + force(y - yf, v - vf) if state.phase is HopPhase.STANCE else 0.0
-    return SimState(
-        t=t,
-        phase=state.phase,
-        y_body=y,
-        v_body=v,
-        y_foot=yf,
-        v_foot=vf,
-        joints=joint_state_for(y - yf, v - vf, geo),
-        last_cmd=cmd,
-        pin_force=pin,
-    )
+    law = _plant_law(cmd, force_law, geo)
+    yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
+    f, _ = law(yb - yf, vb - vf)
+    yb, vb, yf, vf, f, terms = _substep(state.phase, yb, vb, yf, vf, f, state.t, dt, p, geo, law)
+    return _state_at(state.t + dt, state.phase, yb, vb, yf, vf, f, terms, cmd, p, geo)
 
 
 # --- event detection -------------------------------------------------------
@@ -402,9 +447,7 @@ def initial_state(setup: RunSetup) -> SimState:
         y0 = analytic.stance_position(0.0, p)
     else:
         y0 = analytic.TrajectoryCycle(p).y_des(0.0)
-    lo = abs(geo.L1 - geo.L2) + 1e-3
-    hi = geo.L1 + geo.L2 - 1e-3
-    y0 = min(max(y0, lo), hi)
+    y0 = min(max(y0, geo.constants.y_lo), geo.constants.y_hi)
     return SimState(
         t=0.0,
         phase=HopPhase.STANCE,
@@ -441,6 +484,20 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
     )
 
 
+def check_setup(setup: RunSetup) -> None:
+    """Raise ValueError with a one-line reason if the run knobs cannot run."""
+    if (setup.duration is None) == (setup.hops is None):
+        raise ValueError("exactly one of duration or hops must be set")
+    if not (math.isfinite(setup.dt) and setup.dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(setup.control_rate) and setup.control_rate > 0.0):
+        raise ValueError("control_rate must be positive and finite")
+    if setup.duration is not None and not (math.isfinite(setup.duration) and setup.duration >= 0.0):
+        raise ValueError("duration must be non-negative and finite")
+    if setup.hops is not None and setup.hops < 1:
+        raise ValueError("hops must be at least 1")
+
+
 def run(setup: RunSetup) -> RunResult:
     """Run the control loop at a fixed rate and return the telemetry log.
 
@@ -450,12 +507,7 @@ def run(setup: RunSetup) -> RunResult:
     too many unreachable-trajectory ticks) return a partial log whose
     ``failure`` field carries the reason.
     """
-    if (setup.duration is None) == (setup.hops is None):
-        raise ValueError("exactly one of duration or hops must be set")
-    if setup.dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if setup.control_rate <= 0.0:
-        raise ValueError("control_rate must be positive")
+    check_setup(setup)
 
     b = setup.bundle
     p, geo = b.params, b.geometry
@@ -469,13 +521,14 @@ def run(setup: RunSetup) -> RunResult:
     log = TelemetryLog()
     state = initial_state(setup)
     ik_failures = 0
+    landings = 0
 
     def abort(reason: str) -> RunResult:
         log.failure = reason
         return RunResult(log, f"aborted: {reason}", setup)
 
     while state.t < t_end - 1e-12:
-        if setup.hops is not None and len(log.landing_events()) >= setup.hops:
+        if setup.hops is not None and landings >= setup.hops:
             break
         cmd = controller.command(state)
         if cmd.ik_clamped:
@@ -488,11 +541,12 @@ def run(setup: RunSetup) -> RunResult:
                 )
         log.records.append(_record_from(state, cmd))
 
-        force = _make_force_fn(cmd, spring_law, geo)
+        law = _plant_law(cmd, spring_law, geo)
         try:
-            state = _advance_tick(state, cmd, force, dt_sub, n_sub, p, geo, log, controller)
+            state, landed = _advance_tick(state, cmd, law, dt_sub, n_sub, p, geo, log, controller)
         except SimulationAbort as exc:
             return abort(str(exc))
+        landings += landed
         if not (math.isfinite(state.y_body) and abs(state.y_body) < 1e6):
             return abort(f"state diverged at t={state.t:.6f}")
         controller.advance(
@@ -503,33 +557,32 @@ def run(setup: RunSetup) -> RunResult:
     return RunResult(log, "ok", setup)
 
 
-def _advance_tick(state, cmd, force, dt_sub, n_sub, p, geo, log, controller) -> SimState:
+def _advance_tick(state, cmd, law, dt_sub, n_sub, p, geo, log, controller):
+    """Integrate one control tick of ``n_sub`` substeps under held commands.
+
+    Phase events found inside a substep are appended to ``log.events``.
+    Returns the state at the end of the tick and the number of landings
+    among those events.
+    """
     t, phase = state.t, state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
-
-    def pin(yb_, vb_, yf_, vf_):
-        if phase is not HopPhase.STANCE:
-            return 0.0
-        return p.m_e * p.g + force(yb_ - yf_, vb_ - vf_)
+    weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
+    f, terms = law(yb - yf, vb - vf)
+    landings = 0
 
     for _ in range(n_sub):
         dt_left = dt_sub
         events_seen = 0
         while dt_left > 0.0:
-            p_pin = pin(yb, vb, yf, vf)
-            if phase is HopPhase.STANCE:
-                nyb, nvb = _rk4_stance(yb, vb, dt_left, p, force)
-                nyf, nvf = yf, vf
-            else:
-                nyb, nvb, nyf, nvf = _rk4_flight(yb, vb, yf, vf, dt_left, p, force)
-            nyb, nvb, nyf, nvf = _apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
-            if not (math.isfinite(nyb) and math.isfinite(nvb) and math.isfinite(nyf) and math.isfinite(nvf)):
-                raise SimulationAbort(f"non-finite state at t={t + dt_left:.6f}")
+            nyb, nvb, nyf, nvf, nf, nterms = _substep(
+                phase, yb, vb, yf, vf, f, t, dt_left, p, geo, law
+            )
             tr = None
             if events_seen < _MAX_EVENTS_PER_STEP:
-                tr = _crossing(phase, p_pin, pin(nyb, nvb, nyf, nvf), yf, nyf, vf, nvf)
+                # _crossing reads the pin forces only in stance.
+                tr = _crossing(phase, weight_e + f, weight_e + nf, yf, nyf, vf, nvf)
             if tr is None:
-                yb, vb, yf, vf = nyb, nvb, nyf, nvf
+                yb, vb, yf, vf, f, terms = nyb, nvb, nyf, nvf, nf, nterms
                 t += dt_left
                 break
             # Interpolate the state to the event time, switch phase, and
@@ -537,32 +590,24 @@ def _advance_tick(state, cmd, force, dt_sub, n_sub, p, geo, log, controller) -> 
             # chattering contact is capped per substep; the remainder is then
             # integrated without further event checks.
             events_seen += 1
-            f = tr.frac
-            t_ev = t + f * dt_left
-            yb, vb = yb + f * (nyb - yb), vb + f * (nvb - vb)
+            frac = tr.frac
+            t_ev = t + frac * dt_left
+            yb, vb = yb + frac * (nyb - yb), vb + frac * (nvb - vb)
             if tr.kind == "landing":
                 yf, vf = 0.0, 0.0  # plastic contact: foot kinetic energy lost
                 phase = HopPhase.STANCE
                 controller.on_touchdown(yb, vb)
+                landings += 1
             else:
-                yf, vf = yf + f * (nyf - yf), vf + f * (nvf - vf)
+                yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
                 phase = HopPhase.FLIGHT
                 controller.on_liftoff()
             log.events.append(Event(tr.kind, t_ev, yb, vb))
-            dt_left -= f * dt_left
+            dt_left -= frac * dt_left
             t = t_ev
+            f, terms = law(yb - yf, vb - vf)
 
-    return SimState(
-        t=t,
-        phase=phase,
-        y_body=yb,
-        v_body=vb,
-        y_foot=yf,
-        v_foot=vf,
-        joints=joint_state_for(yb - yf, vb - vf, geo),
-        last_cmd=cmd,
-        pin_force=pin(yb, vb, yf, vf),
-    )
+    return _state_at(t, phase, yb, vb, yf, vf, f, terms, cmd, p, geo), landings
 
 
 # --- two-mass model reference integration ----------------------------------

@@ -123,6 +123,41 @@ class TestCmdRun:
         assert code == 1
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [
+            (["--dt", "nan"], "dt"),
+            (["--dt", "inf"], "dt"),
+            (["--hops", "0"], "hops"),
+            (["--hops", "-2"], "hops"),
+            (["--duration", "nan"], "duration"),
+            (["--duration", "inf"], "duration"),
+            (["--duration", "-1"], "duration"),
+        ],
+    )
+    def test_bad_run_knobs_rejected(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "o"
+        code = main(["run", "--preset", "physical-force", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_control_rate_rejected(self, tmp_path, capsys, value):
+        cfg = write(tmp_path, f"[run]\npreset = physical-force\ncontrol_rate = {value}\n")
+        code = main(["run", "--config", str(cfg), "--hops", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "control_rate" in err and len(err.strip().splitlines()) == 1
+
+    def test_zero_duration_still_runs(self, tmp_path):
+        out = tmp_path / "z"
+        code = main(["run", "--preset", "physical-force", "--duration", "0", "--out", str(out)])
+        assert code == 0
+        assert len((out / "run.csv").read_text().splitlines()) == 2
+
     def test_unreachable_run_aborts_with_status(self, tmp_path):
         out = tmp_path / "pl"
         code = main([
@@ -185,6 +220,22 @@ class TestCmdCompare:
         status_row = [l for l in lines if l.startswith("status,")][0]
         _, a, b, _ = status_row.split(",", 3)
         assert a.startswith("aborted") and b == "ok"
+
+    def test_summarizes_each_side_once(self, tmp_path, monkeypatch):
+        calls = []
+        inner = cli.summarize
+
+        def counting(result):
+            calls.append(result.setup.controller)
+            return inner(result)
+
+        monkeypatch.setattr(cli, "summarize", counting)
+        code = main([
+            "compare", "--preset", "physical-force", "--preset", "physical-position",
+            "--hops", "1", "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 0
+        assert calls == ["force", "position"]
 
     def test_requires_two_sources(self, tmp_path, capsys):
         code = main(["compare", "--preset", "physical-force", "--out", str(tmp_path)])

@@ -211,6 +211,42 @@ class TestRun:
         with pytest.raises(ValueError):
             sim.run(RunSetup(bundle=bundle_physical))
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"dt": math.nan},
+            {"dt": math.inf},
+            {"control_rate": math.nan},
+            {"control_rate": math.inf},
+            {"hops": 0},
+            {"hops": None, "duration": math.nan},
+            {"hops": None, "duration": math.inf},
+            {"hops": None, "duration": -1.0},
+        ],
+    )
+    def test_rejects_bad_run_knobs(self, bundle_physical, knobs):
+        setup = RunSetup(bundle=bundle_physical, controller="force", hops=1)
+        for name, value in knobs.items():
+            setattr(setup, name, value)
+        with pytest.raises(ValueError):
+            sim.run(setup)
+
+    def test_hop_target_counted_without_rescanning_events(self, bundle_physical, monkeypatch):
+        scans = []
+        inner = sim.TelemetryLog.landing_events
+
+        def counting(log):
+            scans.append(1)
+            return inner(log)
+
+        monkeypatch.setattr(sim.TelemetryLog, "landing_events", counting)
+        res = sim.run(RunSetup(bundle=bundle_physical, controller="force", hops=2))
+        assert res.ok and not scans
+        landings = [e for e in res.log.events if e.kind == "landing"]
+        assert len(landings) == 2
+        # the run stops on the tick that brought the second landing
+        assert res.log.records[-2].t < landings[-1].t <= res.log.records[-1].t
+
     def test_unreachable_trajectory_aborts_with_partial_log(self, paper_literal):
         from hopsim import model
 
@@ -238,7 +274,7 @@ class TestRun:
 class TestLegStops:
     def test_flight_fold_stop_absorbs_relative_motion(self, bundle_physical):
         b = bundle_physical
-        lo = abs(b.geometry.L1 - b.geometry.L2) + 1e-3
+        lo = b.geometry.constants.y_lo
         # masses closing at high speed right above the fold limit
         state = make_state(HopPhase.FLIGHT, 0.5 + lo, -5.0, 0.5, 0.0)
         zero = control.JointCommands(
@@ -254,7 +290,7 @@ class TestLegStops:
 
     def test_stance_fold_stop_holds_body(self, bundle_physical):
         b = bundle_physical
-        lo = abs(b.geometry.L1 - b.geometry.L2) + 1e-3
+        lo = b.geometry.constants.y_lo
         state = make_state(HopPhase.STANCE, lo + 1e-4, -4.0, 0.0, 0.0)
         zero = control.JointCommands(
             hip=control.TorqueCommand(0.0, 35.0, 0.0),

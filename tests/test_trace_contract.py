@@ -1,0 +1,44 @@
+"""The benchmark's traced child still finds the callables it wraps.
+
+``perfbench/spans.py`` wraps hopsim callables by module and class attribute
+and counts calls to some of them.  A rename or a call that bypasses one of
+those attributes would leave the traced benchmark with zero counts; this
+runs the traced child on a 1-hop run so such a change fails here first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_child_counts_plant_calls(tmp_path):
+    spec = {
+        "argv": ["run", "--preset", "physical-force", "--hops", "1",
+                 "--out", str(tmp_path / "out")],
+        "trace": True,
+        "reference": None,
+        "result": str(tmp_path / "child.json"),
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(spec_path)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "child.json").read_text())
+    assert result["rc"] == 0 and result["runs"] == 1
+    counts = result["trace"]["counts"]
+    for name in ("sim.leg_terms", "sim.substeps", "sim.landing_scans"):
+        assert counts.get(name, 0) > 0, name
+    spans = result["trace"]["spans"]
+    for name in ("sim.run", "sim.plant", "sim.record", "cli.to_csv"):
+        assert spans.get(name, [0])[0] > 0, name
