@@ -94,15 +94,19 @@ class RunConfig:
         ]
         return "\n".join(lines)
 
-    def resolve(self) -> sim.RunSetup:
-        """Validate and build the simulation setup; applies the default hop
-        count when neither duration nor hop count was specified."""
+    def validated(self) -> model.ValidatedBundle:
+        """Validate the physics; a violated invariant becomes a ConfigError."""
         try:
-            bundle = model.validate(
+            return model.validate(
                 self.params, self.motor, self.gains or Gains(), self.geometry
             )
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def resolve(self) -> sim.RunSetup:
+        """Validate and build the simulation setup; applies the default hop
+        count when neither duration nor hop count was specified."""
+        bundle = self.validated()
         duration, hops = self.duration, self.hops
         if duration is None and hops is None:
             hops = 3
@@ -298,11 +302,22 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see a partial file."""
+    """Write via a temp file and rename, so readers never see a partial file.
+
+    The temp file is named per call (pid plus random bits) and opened with
+    ``"x"``, so concurrent writers into one directory never share or clobber
+    it; the file gets the same umask-derived mode as a plain write.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "x")  # outside the try: a name that exists is not ours to remove
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _median_interval(times: list[float]) -> float | None:
@@ -550,13 +565,7 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
 
 def cmd_traj(config: RunConfig) -> int:
     """Sample the desired trajectory over one hop period to CSV."""
-    try:
-        bundle = model.validate(
-            config.params, config.motor, config.gains or Gains(), config.geometry
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    cycle = analytic.TrajectoryCycle(bundle.params)
+    cycle = analytic.TrajectoryCycle(config.validated().params)
     step = 1.0 / config.control_rate
     n = int(cycle.period / step)
     lines = ["t,y_des,phase"]
@@ -584,7 +593,7 @@ def cmd_traj(config: RunConfig) -> int:
 
 def cmd_aor(config: RunConfig, n: int = 256) -> int:
     """Emit the admissible operating region boundary as CSV (and SVG)."""
-    curve = metrics.aor_curve(config.motor, n)
+    curve = metrics.aor_curve(config.validated().motor, n)
     lines = ["speed,torque"]
     for s, tq in curve.points:
         lines.append(f"{s!r},{tq!r}")

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .model import HopperParams, MotorParams
 
@@ -37,6 +40,19 @@ class AorCurve:
 
     points: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        speeds = self.speeds
+        if len(speeds) < 2:
+            raise ValueError("an AOR curve needs at least 2 points")
+        # torque_at bisects the speeds, so they must be ordered; NaN is not
+        if not all(s0 <= s1 for s0, s1 in zip(speeds, speeds[1:])):
+            raise ValueError("AOR curve speeds must be non-decreasing and not NaN")
+
+    @cached_property
+    def speeds(self) -> tuple[float, ...]:
+        """The curve's speeds in order; the bisection key of :meth:`torque_at`."""
+        return tuple(s for s, _ in self.points)
+
     @property
     def stall_torque(self) -> float:
         return self.points[0][1]
@@ -46,18 +62,23 @@ class AorCurve:
         return self.points[-1][0]
 
     def torque_at(self, speed: float) -> float:
-        """Envelope torque at |speed|, linearly interpolated; 0 beyond the curve."""
+        """Envelope torque at |speed|, linearly interpolated; 0 beyond the curve.
+
+        The segment is found by bisection: its end is the first point at
+        index >= 1 whose speed is >= |speed|.  NaN fails ``s < last`` and
+        returns 0 like any speed at or past the no-load speed.
+        """
         s = abs(speed)
-        pts = self.points
-        if s >= pts[-1][0]:
+        speeds = self.speeds
+        if not s < speeds[-1]:
             return 0.0
-        for (s0, t0), (s1, t1) in zip(pts, pts[1:]):
-            if s <= s1:
-                if s1 == s0:
-                    return t1
-                u = (s - s0) / (s1 - s0)
-                return t0 + u * (t1 - t0)
-        return 0.0
+        i = bisect_left(speeds, s, 1)
+        s0, t0 = self.points[i - 1]
+        s1, t1 = self.points[i]
+        if s1 == s0:
+            return t1
+        u = (s - s0) / (s1 - s0)
+        return t0 + u * (t1 - t0)
 
     def mirrored(self) -> tuple[tuple[float, float], ...]:
         """Full polyline over negative and positive speeds, for plotting."""
@@ -77,20 +98,17 @@ def saturation_ratio(tau_act: float, tau_sat: float) -> float:
     return abs(tau_act) / abs(tau_sat)
 
 
-def _column(record, joint: str, prefix: str) -> float:
-    return getattr(record, f"{prefix}_{joint}")
-
-
 def average_saturation_ratio(log, w: StanceWindow, joint: str = "knee") -> float:
     """Trapezoidal time-average of the saturation ratio over a stance window.
 
     Only finite samples enter the average; an empty window is an error.
     The result is invariant under uniform time reparameterization.
     """
+    c_act = attrgetter(f"c_act_{joint}")
     pts = [
-        (r.t, _column(r, joint, "c_act"))
+        (r.t, c_act(r))
         for r in log.records
-        if w.t_init <= r.t <= w.t_lo and math.isfinite(_column(r, joint, "c_act"))
+        if w.t_init <= r.t <= w.t_lo and math.isfinite(c_act(r))
     ]
     if len(pts) < 2:
         raise ValueError(
@@ -165,11 +183,9 @@ def first_stance_window(log) -> StanceWindow:
 
 def speed_torque_trace(log, joint: str = "knee") -> list[tuple[float, float]]:
     """Logged (joint speed, |applied torque|) sequence over stance records."""
-    return [
-        (_column(r, joint, "thetad"), abs(_column(r, joint, "tau_des")))
-        for r in log.records
-        if r.phase == "stance"
-    ]
+    thetad = attrgetter(f"thetad_{joint}")
+    tau_des = attrgetter(f"tau_des_{joint}")
+    return [(thetad(r), abs(tau_des(r))) for r in log.records if r.phase == "stance"]
 
 
 def aor_curve(m: MotorParams, n: int = 256) -> AorCurve:

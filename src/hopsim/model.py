@@ -170,9 +170,15 @@ def validate(
     check(geometry.L1 > 0, "L1", "thigh length must be positive")
     check(geometry.L2 > 0, "L2", "shank length must be positive")
     check(geometry.knee_sign in (1, -1), "knee_sign", "branch selector must be +1 or -1")
-    for name in ("m", "m_e", "m_t", "k_s", "y_s_neu", "C_amp", "C_max", "g"):
-        if not math.isfinite(getattr(p, name)):
-            violations.append((name, "must be finite"))
+    for obj, names in (
+        (p, ("m", "m_e", "m_t", "k_s", "y_s_neu", "C_amp", "C_max", "g")),
+        (motor, ("tau_max", "omega_max", "R")),
+        (gains, ("k_p", "k_d")),
+        (geometry, ("L1", "L2")),
+    ):
+        for name in names:
+            if not math.isfinite(getattr(obj, name)):
+                violations.append((name, "must be finite"))
 
     if violations:
         raise ParameterError(violations)

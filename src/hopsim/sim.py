@@ -43,6 +43,7 @@ from .model import (
 
 CONTACT_EPSILON = 1e-9  # touchdown height threshold, m
 _MAX_EVENTS_PER_STEP = 4
+MAX_SUBSTEPS_PER_TICK = 10_000  # largest control period / dt a run accepts
 
 
 class Record(NamedTuple):
@@ -66,6 +67,10 @@ class Record(NamedTuple):
     tau_sat_knee: float
     c_act_hip: float
     c_act_knee: float
+
+
+# One CSV row: repr of every number (``%r`` is ``repr``), the phase as is.
+_CSV_ROW = ",".join("%s" if name == "phase" else "%r" for name in Record._fields)
 
 
 class Event(NamedTuple):
@@ -94,11 +99,9 @@ class TelemetryLog:
 
     def to_csv(self) -> str:
         lines = [self.csv_header()]
-        for r in self.records:
-            lines.append(
-                ",".join(r.phase if i == 1 else repr(v) for i, v in enumerate(r))
-            )
-        return "\n".join(lines) + "\n"
+        lines += [_CSV_ROW % r for r in self.records]
+        lines.append("")  # the final newline, without copying the whole text again
+        return "\n".join(lines)
 
 
 @dataclass
@@ -492,6 +495,12 @@ def check_setup(setup: RunSetup) -> None:
         raise ValueError("dt must be positive and finite")
     if not (math.isfinite(setup.control_rate) and setup.control_rate > 0.0):
         raise ValueError("control_rate must be positive and finite")
+    # compared before rounding: a dt so small that period / dt is inf fails too
+    if not (1.0 / setup.control_rate) / setup.dt <= MAX_SUBSTEPS_PER_TICK:
+        raise ValueError(
+            f"dt={setup.dt!r} gives more than {MAX_SUBSTEPS_PER_TICK} substeps "
+            f"per control tick at control_rate={setup.control_rate!r}"
+        )
     if setup.duration is not None and not (math.isfinite(setup.duration) and setup.duration >= 0.0):
         raise ValueError("duration must be non-negative and finite")
     if setup.hops is not None and setup.hops < 1:

@@ -77,11 +77,13 @@ def line_plot(
     x0, x1 = x0 - padx, x1 + padx
     y0, y1 = y0 - pady, y1 + pady
 
+    xspan, yspan = x1 - x0, y1 - y0
+
     def tx(x):
-        return ml + (x - x0) / (x1 - x0) * pw
+        return ml + (x - x0) / xspan * pw
 
     def ty(y):
-        return mt + ph - (y - y0) / (y1 - y0) * ph
+        return mt + ph - (y - y0) / yspan * ph
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -121,7 +123,7 @@ def line_plot(
 
     for i, s in enumerate(series):
         color = s.color or PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in s.points)
+        pts = " ".join(["%.2f,%.2f" % (tx(x), ty(y)) for x, y in s.points])
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"{dash}/>'

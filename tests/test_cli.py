@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from hopsim import analytic, cli, model
+from hopsim import analytic, cli, model, sim
 from hopsim.cli import RunConfig, main, parse_config
 from hopsim.errors import ConfigError
 
@@ -152,6 +156,59 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "control_rate" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-320"])
+    def test_tiny_dt_rejected_quickly(self, tmp_path, dt):
+        # before the substep bound, 1e-300 never finished and 1e-320 (period /
+        # dt is inf) died in round() with an OverflowError traceback; run in a
+        # child so a regression fails on the timeout instead of hanging here
+        out = tmp_path / "o"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys; from hopsim.cli import main; sys.exit(main(sys.argv[1:]))",
+                "run", "--preset", "physical-force", "--hops", "1",
+                "--dt", dt, "--out", str(out),
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: dt=")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (out / "run.csv").exists()
+
+    def test_substep_bound_is_inclusive(self):
+        period = 1.0 / 4000.0
+        ok = RunConfig(dt=period / sim.MAX_SUBSTEPS_PER_TICK, hops=1)
+        assert ok.resolve().dt == ok.dt
+        with pytest.raises(ConfigError, match="substeps per control tick"):
+            RunConfig(dt=period / (2 * sim.MAX_SUBSTEPS_PER_TICK), hops=1).resolve()
+
+    @pytest.mark.parametrize(
+        ("section", "key"),
+        [
+            ("motor", "tau_max"),
+            ("motor", "omega_max"),
+            ("motor", "R"),
+            ("gains", "k_p"),
+            ("gains", "k_d"),
+            ("geometry", "L1"),
+            ("geometry", "L2"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, tmp_path, capsys, section, key):
+        cfg = write(tmp_path, f"[run]\npreset = physical-force\n[{section}]\n{key} = inf\n")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--hops", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}: must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_zero_duration_still_runs(self, tmp_path):
         out = tmp_path / "z"
         code = main(["run", "--preset", "physical-force", "--duration", "0", "--out", str(out)])
@@ -275,8 +332,93 @@ class TestCmdTrajAor:
         assert len(lines) == 1 + 256
         assert (out / "aor.svg").is_file()
 
+    @pytest.mark.parametrize("omega_max", ["-520.0", "inf", "nan"])
+    def test_aor_rejects_invalid_motor(self, tmp_path, capsys, omega_max):
+        cfg = write(tmp_path, f"[run]\npreset = physical-force\n[motor]\nomega_max = {omega_max}\n")
+        out = tmp_path / "aor"
+        code = main(["aor", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "omega_max" in err
+        assert not out.exists()
+
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
         for name in cli.RUN_PRESET_NAMES:
             assert name in out
+
+
+class TestWriteAtomic:
+    def test_writes_text_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "sub" / "run.csv"
+        cli.write_atomic(target, "a,b\n1,2\n")
+        cli.write_atomic(target, "a,b\n3,4\n")
+        assert target.read_text() == "a,b\n3,4\n"
+        assert os.listdir(target.parent) == ["run.csv"]
+
+    def test_runs_leave_no_temp_files(self, tmp_path):
+        out = tmp_path / "cmp"
+        code = main([
+            "compare", "--preset", "physical-force", "--preset", "physical-position",
+            "--hops", "1", "--out", str(out), "--plots",
+        ])
+        assert code == 0
+        assert not list(out.rglob("*.tmp"))
+
+    def test_temp_names_are_unique_and_beside_the_target(self, tmp_path, monkeypatch):
+        temps = []
+        inner = os.replace
+
+        def recording(src, dst):
+            temps.append(Path(src))
+            inner(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        target = tmp_path / "run.csv"
+        cli.write_atomic(target, "x\n")
+        cli.write_atomic(target, "y\n")
+        assert len(set(temps)) == 2
+        assert all(t.parent == tmp_path and t.name.startswith("run.csv.") for t in temps)
+
+    def test_concurrent_writers_into_one_directory(self, tmp_path):
+        # with one shared "run.csv.tmp" a writer could rename away another's
+        # temp file, whose os.replace then failed
+        target = tmp_path / "run.csv"
+        texts = [f"writer {i}\n" * 2000 for i in range(4)]
+        errors = []
+
+        def writer(text):
+            try:
+                for _ in range(40):
+                    cli.write_atomic(target, text)
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert target.read_text() in texts
+        assert os.listdir(tmp_path) == ["run.csv"]
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        target = tmp_path / "run.csv"
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_atomic(target, "\udc80")  # a lone surrogate cannot be encoded
+        assert os.listdir(tmp_path) == []
+
+    def test_mode_matches_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        target = tmp_path / "atomic.txt"
+        cli.write_atomic(target, "x")
+        assert target.stat().st_mode == plain.stat().st_mode

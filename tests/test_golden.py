@@ -1,9 +1,14 @@
-"""Byte-identity gate for the plant: pinned run.csv digests and a bitwise
-check of the leg-terms kernel against its reference formula.
+"""Byte-identity gate for the plant and the output layer.
 
-The digests were taken from ``hopsim run`` before the plant's inner loop was
-rebuilt to evaluate each leg configuration once.  A change that is meant to
-alter the telemetry must regenerate them on purpose and say so.
+Pinned digests: ``run.csv`` of single runs, and every file of a plotted
+force-vs-position comparison.  Bitwise oracles: the leg-terms kernel, the
+AOR lookup, the CSV row format and the SVG polyline, each against a verbatim
+copy of the code it replaced.
+
+The run.csv digests were taken before the plant's inner loop was rebuilt to
+evaluate each leg configuration once; the comparison digests before the
+output layer lost its per-element overhead.  A change that is meant to alter
+any output file must regenerate them on purpose and say so.
 """
 
 import hashlib
@@ -13,9 +18,10 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from hopsim import sim
+from hopsim import sim, svg
 from hopsim.cli import main
-from hopsim.model import LegGeometry
+from hopsim.metrics import AorCurve, aor_curve
+from hopsim.model import LegGeometry, MotorParams
 
 SPRING_CONFIG = "[run]\npreset = physical-force\ncontroller = spring\n"
 
@@ -99,3 +105,263 @@ def test_leg_terms_bitwise_equal_to_reference(L1, L2, knee_sign, scale):
 )
 def test_leg_terms_bitwise_at_stops_and_limits(geo, y_rel):
     assert bits(sim._leg_terms(y_rel, geo)) == bits(reference_leg_terms(y_rel, geo))
+
+
+# path under --out -> sha256 of each file that
+# `hopsim compare --preset physical-force --preset physical-position --hops 1 --plots` writes
+COMPARE_GOLDEN = {
+    "a-force/aor.svg": "625dbf2f524af0ecf320be56b7a9ec42da90ba90d7b60891d1c379ed30e853a0",
+    "a-force/foot.svg": "2c40468369b20953576553e144900febc78a6d17365ac57fa82115fb0679e157",
+    "a-force/run.csv": "e77a3777cdff9431a95a58c0143edcfcdbf82710542e62d6b9e7176864059e87",
+    "a-force/status.txt": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+    "a-force/summary.csv": "f5ef972bd820cbd48ecd0b7e25916754d893776d25884ba359f8b7e41a4a320a",
+    "b-position/aor.svg": "ca1a5ae7a543a135f2452ec50ac96a106bd4fffa8388edbc99bcef88ef6b5648",
+    "b-position/foot.svg": "918cbc1fcbbd93fba8959b5cad073f2e2672dc3726097e02adeccd1958d7e0e5",
+    "b-position/run.csv": "087cef4c19cb9c2623980fec8163bf37f0bf2a73c10aa6e097b51c672b3b97c1",
+    "b-position/status.txt": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+    "b-position/summary.csv": "0dd9b462e04972f12eb16a06a81df711e534e1eb6b546f57d53d5cbd8561074f",
+    "c_act.svg": "d5c76a8dc17865bdc1a76f4df6e629f86bceb743d97d3cdc328a41f8fee657f5",
+    "compare.csv": "bb10f6b4544b6d97f8467a103cdad300ead237aaf86e5e3cbb3d458b359ba4a9",
+    "compare.txt": "8e4fa068ccfff9c91bba7ed659d0ce3b63c3f11eb97b370c37cd24b7f23ae8b7",
+    "foot_height.svg": "b54961299778169b5dcc02f55cec1e5c294f2aeeda30f890a447a15b97c9a2ea",
+    "trace_aor.svg": "bee8eaaf9fce87f10814cd89721595df3d0f75472d497918a3951032c974201c",
+}
+
+
+def test_compare_output_digests(tmp_path):
+    out = tmp_path / "cmp"
+    argv = [
+        "compare", "--preset", "physical-force", "--preset", "physical-position",
+        "--hops", "1", "--plots", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    written = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+    assert written == COMPARE_GOLDEN
+
+
+# --- AOR lookup ---------------------------------------------------------------
+
+
+def reference_torque_at(curve, speed):
+    """AorCurve.torque_at as first written (a linear scan), kept as the oracle."""
+    s = abs(speed)
+    pts = curve.points
+    if s >= pts[-1][0]:
+        return 0.0
+    for (s0, t0), (s1, t1) in zip(pts, pts[1:]):
+        if s <= s1:
+            if s1 == s0:
+                return t1
+            u = (s - s0) / (s1 - s0)
+            return t0 + u * (t1 - t0)
+    return 0.0
+
+
+LIMIT_SPEEDS = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]
+
+# a few round speeds drawn into both the curves and the queries, so repeated
+# breakpoints (the s1 == s0 branch) and exact hits come up often
+ROUND_SPEEDS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5])
+
+
+@st.composite
+def curve_and_speed(draw):
+    speeds = sorted(
+        draw(st.lists(st.floats(-1.0, 10.0) | ROUND_SPEEDS, min_size=2, max_size=10))
+    )
+    torques = draw(
+        st.lists(st.floats(-100.0, 100.0), min_size=len(speeds), max_size=len(speeds))
+    )
+    curve = AorCurve(tuple(zip(speeds, torques)))
+    speed = draw(
+        st.sampled_from(speeds)
+        | st.sampled_from(speeds).map(lambda v: -v)
+        | st.sampled_from(LIMIT_SPEEDS)
+        | ROUND_SPEEDS
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.floats(-12.0, 12.0)
+    )
+    return curve, speed
+
+
+@given(curve_and_speed())
+def test_torque_at_bitwise_equal_to_linear_scan(case):
+    curve, speed = case
+    assert bits([curve.torque_at(speed)]) == bits([reference_torque_at(curve, speed)])
+
+
+AOR_256 = aor_curve(MotorParams(), 256)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        AOR_256,
+        aor_curve(MotorParams(), 2),
+        # repeated speeds at the start and inside the curve
+        AorCurve(((0.0, 3.0), (0.0, 2.0), (1.0, 1.0), (1.0, 0.5), (2.0, 0.0))),
+    ],
+    ids=["n256", "n2", "repeated"],
+)
+def test_torque_at_bitwise_at_breakpoints_and_limits(curve):
+    speeds = [s for s, _ in curve.points]
+    mids = [0.5 * (a + b) for a, b in zip(speeds, speeds[1:])]
+    queries = speeds + [-s for s in speeds] + mids + LIMIT_SPEEDS + [2.0 * speeds[-1]]
+    for speed in queries:
+        assert bits([curve.torque_at(speed)]) == bits([reference_torque_at(curve, speed)]), speed
+
+
+# --- CSV rows -----------------------------------------------------------------
+
+
+def reference_to_csv(log):
+    """TelemetryLog.to_csv as first written (a per-field join), kept as the oracle."""
+    lines = [log.csv_header()]
+    for r in log.records:
+        lines.append(
+            ",".join(r.phase if i == 1 else repr(v) for i, v in enumerate(r))
+        )
+    return "\n".join(lines) + "\n"
+
+
+CSV_NUMBERS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-320, 5e-324])
+    | st.integers(-(10**20), 10**20)
+)
+
+
+@st.composite
+def records(draw):
+    values = [draw(CSV_NUMBERS) for _ in sim.Record._fields]
+    values[1] = draw(st.sampled_from(["stance", "flight"]))
+    return sim.Record(*values)
+
+
+@given(st.lists(records(), max_size=5))
+def test_to_csv_equal_to_per_field_join(rows):
+    log = sim.TelemetryLog(records=rows)
+    assert log.to_csv() == reference_to_csv(log)
+
+
+def test_to_csv_equal_to_per_field_join_on_a_run(force_run_1hop):
+    log = force_run_1hop.log
+    assert log.to_csv() == reference_to_csv(log)
+
+
+# --- SVG polyline -------------------------------------------------------------
+
+
+def reference_line_plot(series, title="", xlabel="", ylabel="", width=640, height=420):
+    """svg.line_plot as it was before each polyline point was formatted once,
+    kept verbatim (it formatted ``_fmt(tx(x))`` and ``_fmt(ty(y))`` apart)."""
+    _fmt, _ticks, _tick_label = svg._fmt, svg._ticks, svg._tick_label
+    PALETTE = svg.PALETTE
+    ml, mr, mt, mb = 62, 16, 30, 46
+    pw, ph = width - ml - mr, height - mt - mb
+
+    xs = [x for s in series for x, _ in s.points]
+    ys = [y for s in series for _, y in s.points]
+    if not xs:
+        xs, ys = [0.0, 1.0], [0.0, 1.0]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    if x1 == x0:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y1 == y0:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    padx = 0.02 * (x1 - x0)
+    pady = 0.05 * (y1 - y0)
+    x0, x1 = x0 - padx, x1 + padx
+    y0, y1 = y0 - pady, y1 + pady
+
+    def tx(x):
+        return ml + (x - x0) / (x1 - x0) * pw
+
+    def ty(y):
+        return mt + ph - (y - y0) / (y1 - y0) * ph
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
+    ]
+    if title:
+        out.append(
+            f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>'
+        )
+    for t in _ticks(x0 + padx, x1 - padx):
+        px = tx(t)
+        out.append(
+            f'<line x1="{_fmt(px)}" y1="{mt + ph}" x2="{_fmt(px)}" y2="{mt + ph + 4}" stroke="#333"/>'
+        )
+        out.append(
+            f'<text x="{_fmt(px)}" y="{mt + ph + 16}" text-anchor="middle">{_tick_label(t)}</text>'
+        )
+    for t in _ticks(y0 + pady, y1 - pady):
+        py = ty(t)
+        out.append(
+            f'<line x1="{ml - 4}" y1="{_fmt(py)}" x2="{ml}" y2="{_fmt(py)}" stroke="#333"/>'
+        )
+        out.append(
+            f'<text x="{ml - 6}" y="{_fmt(py + 3.5)}" text-anchor="end">{_tick_label(t)}</text>'
+        )
+    if xlabel:
+        out.append(
+            f'<text x="{ml + pw / 2:.0f}" y="{height - 8}" text-anchor="middle">{xlabel}</text>'
+        )
+    if ylabel:
+        out.append(
+            f'<text x="14" y="{mt + ph / 2:.0f}" text-anchor="middle" '
+            f'transform="rotate(-90 14 {mt + ph / 2:.0f})">{ylabel}</text>'
+        )
+
+    for i, s in enumerate(series):
+        color = s.color or PALETTE[i % len(PALETTE)]
+        pts = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in s.points)
+        dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
+        out.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"{dash}/>'
+        )
+        ly = mt + 14 + 14 * i
+        out.append(
+            f'<line x1="{ml + pw - 110}" y1="{ly - 4}" x2="{ml + pw - 90}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="1.4"{dash}/>'
+        )
+        out.append(f'<text x="{ml + pw - 85}" y="{ly}">{s.label}</text>')
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+PLOT_COORDS = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300]) | st.integers(-50, 50)
+PLOT_SERIES = st.lists(
+    st.builds(
+        svg.Series,
+        points=st.lists(st.tuples(PLOT_COORDS, PLOT_COORDS), max_size=12).map(tuple),
+        label=st.just("s"),
+        dash=st.sampled_from([None, "6,3"]),
+    ),
+    max_size=3,
+)
+
+
+@given(PLOT_SERIES)
+def test_line_plot_equal_to_per_coordinate_format(series):
+    assert svg.line_plot(series) == reference_line_plot(series)
+
+
+def test_line_plot_equal_to_per_coordinate_format_on_a_run(force_run_1hop):
+    log = force_run_1hop.log
+    series = [
+        svg.Series(AOR_256.mirrored(), "AOR", color="#333333", dash="6,3"),
+        svg.Series(tuple((r.thetad_knee, abs(r.tau_des_knee)) for r in log.records), "force"),
+        svg.Series(tuple((r.t, r.y_foot) for r in log.records), "foot"),
+    ]
+    kwargs = dict(title="t", xlabel="x", ylabel="y")
+    assert svg.line_plot(series, **kwargs) == reference_line_plot(series, **kwargs)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hopsim import metrics, sim
-from hopsim.metrics import StanceWindow, aor_curve, saturation_ratio
+from hopsim.metrics import AorCurve, StanceWindow, aor_curve, saturation_ratio
 from hopsim.model import HopperParams, MotorParams
 from hopsim.sim import Event, Record, TelemetryLog
 
@@ -206,6 +206,27 @@ class TestAorCurve:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             aor_curve(MOTOR, 1)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ((0.0, 2.0), (2.0, 1.0), (1.0, 0.0)),
+            ((1.0, 2.0), (0.0, 0.0)),
+            ((0.0, 2.0), (math.nan, 1.0), (2.0, 0.0)),
+        ],
+    )
+    def test_rejects_unordered_speeds(self, points):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            AorCurve(points)
+
+    def test_rejects_fewer_than_two_points(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            AorCurve(((0.0, 1.0),))
+
+    def test_accepts_repeated_speed(self):
+        curve = AorCurve(((0.0, 2.0), (0.0, 1.5), (1.0, 0.0)))
+        assert curve.torque_at(0.0) == 1.5
+        assert curve.torque_at(0.5) == 0.75
 
     def test_mirrored_polyline(self):
         curve = aor_curve(MOTOR, 8)

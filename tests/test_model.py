@@ -91,3 +91,30 @@ def test_default_geometry_matches_leg():
 def test_default_gains_are_table_values():
     g = Gains()
     assert g.k_p == 5424.0 and g.k_d == 9.0
+
+
+# (dataclass, field) for every motor, gain and geometry float
+NON_HOPPER_FLOATS = [
+    (MotorParams, "tau_max"),
+    (MotorParams, "omega_max"),
+    (MotorParams, "R"),
+    (Gains, "k_p"),
+    (Gains, "k_d"),
+    (LegGeometry, "L1"),
+    (LegGeometry, "L2"),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(("cls", "name"), NON_HOPPER_FLOATS)
+def test_validate_rejects_non_finite_motor_gain_geometry(physical, cls, name, value):
+    part = cls(**{name: value})
+    with pytest.raises(ParameterError) as exc:
+        model.validate(
+            physical,
+            part if cls is MotorParams else None,
+            part if cls is Gains else None,
+            part if cls is LegGeometry else None,
+        )
+    assert name in exc.value.fields
+    assert (name, "must be finite") in exc.value.violations

@@ -218,6 +218,10 @@ class TestRun:
             {"dt": math.inf},
             {"control_rate": math.nan},
             {"control_rate": math.inf},
+            # more than MAX_SUBSTEPS_PER_TICK substeps per tick, inf for 1e-320
+            {"dt": 1e-300},
+            {"dt": 1e-320},
+            {"control_rate": 1e-3},
             {"hops": 0},
             {"hops": None, "duration": math.nan},
             {"hops": None, "duration": math.inf},
