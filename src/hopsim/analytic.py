@@ -238,6 +238,17 @@ class TrajectoryCycle:
         self.period = hop_period(p)
         self.flight_duration = relative_period(p)
         self.touchdown_time = self.period - self.t_lo  # == t_ld
+        # Constants of the closed forms, computed once by the same functions
+        # the free forms call, so every evaluation gives the same bits.
+        self._c_max = p.C_max
+        self._y_s_neu = p.y_s_neu
+        self._stance_amp = stance_amplitude(p)
+        self._stance_w = stance_omega(p)
+        self._stance_neg_amp_w = -self._stance_amp * self._stance_w
+        self._flight_b = flight_amplitude(p, self.lift)
+        self._flight_alpha = flight_phase_offset(p, self.lift)
+        self._flight_w = flight_omega(p)
+        self._flight_neg_b_w = -self._flight_b * self._flight_w
         # Compare the legacy flight form against the dynamics-consistent one
         # at mid-window; they are known to disagree, and the latter wins.
         try:
@@ -261,31 +272,41 @@ class TrajectoryCycle:
         return HopPhase.FLIGHT
 
     def leg_length(self, t: float) -> float:
-        """Uncompensated leg length at cycle time t."""
+        """Uncompensated leg length at cycle time t.
+
+        :func:`stance_position` and :func:`flight_leg_length` from the
+        cached constants.
+        """
         t = t % self.period
         if t < self.t_lo:
-            return stance_position(t, self.params)
+            return self._stance_amp * math.cos(self._stance_w * t + math.pi) + self._y_s_neu
         if t <= self.touchdown_time:
-            return flight_leg_length(t - self.t_lo, self.params, self.lift)
-        return stance_position(self.period - t, self.params)
+            return self._y_s_neu + self._flight_b * math.cos(
+                self._flight_w * (t - self.t_lo) - self._flight_alpha
+            )
+        return self._stance_amp * math.cos(self._stance_w * (self.period - t) + math.pi) + self._y_s_neu
 
     def leg_velocity(self, t: float) -> float:
+        """:func:`stance_velocity` and :func:`flight_leg_velocity` from the
+        cached constants; the descent mirrors the stance rate."""
         t = t % self.period
         if t < self.t_lo:
-            return stance_velocity(t, self.params)
+            return self._stance_neg_amp_w * math.sin(self._stance_w * t + math.pi)
         if t <= self.touchdown_time:
-            return flight_leg_velocity(t - self.t_lo, self.params, self.lift)
-        return -stance_velocity(self.period - t, self.params)
+            return self._flight_neg_b_w * math.sin(
+                self._flight_w * (t - self.t_lo) - self._flight_alpha
+            )
+        return -(self._stance_neg_amp_w * math.sin(self._stance_w * (self.period - t) + math.pi))
 
     def y_des(self, t: float) -> float:
         """Compensated desired leg length at cycle time t."""
-        return compensation(t % self.period, self.period, self.params.C_max) * self.leg_length(t)
+        return compensation(t % self.period, self.period, self._c_max) * self.leg_length(t)
 
     def y_des_rate(self, t: float) -> float:
         """Time derivative of :meth:`y_des` (product rule with the compensation)."""
         t = t % self.period
-        c = compensation(t, self.period, self.params.C_max)
-        cdot = compensation_rate(t, self.period, self.params.C_max)
+        c = compensation(t, self.period, self._c_max)
+        cdot = compensation_rate(t, self.period, self._c_max)
         return c * self.leg_velocity(t) + cdot * self.leg_length(t)
 
     def sample(self, t: float) -> TrajectorySample:

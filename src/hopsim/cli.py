@@ -644,7 +644,7 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
                     help="plain-text config file")
     sp.add_argument("--preset", action=_SourceAction, const="preset", metavar="NAME",
                     help="built-in preset (see 'presets')")
-    sp.add_argument("--controller", choices=["force", "position"])
+    sp.add_argument("--controller", choices=["force", "position", "spring"])
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--hops", type=int)
     group.add_argument("--duration", type=float)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analytic, kinematics
 from .model import Gains, HopperParams, HopPhase, LegGeometry, MotorParams
@@ -26,8 +26,7 @@ class ControllerMode(enum.Enum):
     POSITION = "position"
 
 
-@dataclass(frozen=True)
-class TorqueCommand:
+class TorqueCommand(NamedTuple):
     """One joint's command: raw PD torque, envelope bound, clamped result."""
 
     tau_dyn: float  # desired raw torque, N*m joint side
@@ -35,8 +34,7 @@ class TorqueCommand:
     tau_des: float  # clamped command actually applied, N*m
 
 
-@dataclass(frozen=True)
-class JointCommands:
+class JointCommands(NamedTuple):
     """Per-joint commands for one control tick."""
 
     hip: TorqueCommand
@@ -85,7 +83,7 @@ def clamp(tau_dyn: float, tau_sat: float) -> float:
 def make_command(tau_dyn: float, thetad_act: float, motor: MotorParams) -> TorqueCommand:
     """Run one raw torque through the envelope clamp."""
     tau_sat = actuator_saturation(thetad_act, motor)
-    return TorqueCommand(tau_dyn=tau_dyn, tau_sat=tau_sat, tau_des=clamp(tau_dyn, tau_sat))
+    return TorqueCommand(tau_dyn, tau_sat, clamp(tau_dyn, tau_sat))
 
 
 def position_tracking_gains(
@@ -229,13 +227,13 @@ class ForceController(_TrajectoryController):
 
     def command(self, state) -> JointCommands:
         th_h, th_k, _, _, clamped = self.joint_targets()
-        js = state.joints
-        tau_h = pd_torque(js.theta_hip, js.thetad_hip, th_h, self.gains)
-        tau_k = pd_torque(js.theta_knee, js.thetad_knee, th_k, self.gains)
+        js, gains, motor = state.joints, self.gains, self.motor
+        tau_h = pd_torque(js.theta_hip, js.thetad_hip, th_h, gains)
+        tau_k = pd_torque(js.theta_knee, js.thetad_knee, th_k, gains)
         return JointCommands(
-            hip=make_command(tau_h, js.thetad_hip, self.motor),
-            knee=make_command(tau_k, js.thetad_knee, self.motor),
-            ik_clamped=clamped,
+            make_command(tau_h, js.thetad_hip, motor),
+            make_command(tau_k, js.thetad_knee, motor),
+            clamped,
         )
 
 
@@ -254,17 +252,14 @@ class PositionController(_TrajectoryController):
 
     def command(self, state) -> JointCommands:
         th_h, th_k, thd_h, thd_k, clamped = self.joint_targets()
-        js = state.joints
-        tau_h = self.gains.k_p * (th_h - js.theta_hip) + self.gains.k_d * (
-            thd_h - js.thetad_hip
-        )
-        tau_k = self.gains.k_p * (th_k - js.theta_knee) + self.gains.k_d * (
-            thd_k - js.thetad_knee
-        )
+        js, motor = state.joints, self.motor
+        k_p, k_d = self.gains.k_p, self.gains.k_d
+        tau_h = k_p * (th_h - js.theta_hip) + k_d * (thd_h - js.thetad_hip)
+        tau_k = k_p * (th_k - js.theta_knee) + k_d * (thd_k - js.thetad_knee)
         return JointCommands(
-            hip=make_command(tau_h, js.thetad_hip, self.motor),
-            knee=make_command(tau_k, js.thetad_knee, self.motor),
-            ik_clamped=clamped,
+            make_command(tau_h, js.thetad_hip, motor),
+            make_command(tau_k, js.thetad_knee, motor),
+            clamped,
         )
 
 
@@ -305,8 +300,8 @@ class VirtualSpringController:
             force, state.joints.theta_knee, self.geometry
         )
         return JointCommands(
-            hip=make_command(0.0, state.joints.thetad_hip, self.motor),
-            knee=make_command(tau_k, state.joints.thetad_knee, self.motor),
+            make_command(0.0, state.joints.thetad_hip, self.motor),
+            make_command(tau_k, state.joints.thetad_knee, self.motor),
         )
 
 

@@ -41,7 +41,8 @@ class LegJacobian:
 
 def reach_interval(geo: LegGeometry) -> tuple[float, float]:
     """Open interval of leg lengths this geometry can realize."""
-    return abs(geo.L1 - geo.L2), geo.L1 + geo.L2
+    c = geo.constants
+    return c.reach_lo, c.reach_hi
 
 
 def hip_alignment_angle(theta_knee: float, geo: LegGeometry) -> float:
@@ -61,13 +62,13 @@ def inverse_kinematics(y: float, geo: LegGeometry) -> tuple[float, float]:
     The knee interior angle comes from the law of cosines; the branch is
     selected by geo.knee_sign.  y must lie strictly inside the reach interval.
     """
-    lo, hi = reach_interval(geo)
-    if not (lo < y < hi):
-        raise UnreachableLengthError(y, lo, hi)
-    cos_gamma = (geo.L1**2 + geo.L2**2 - y * y) / (2.0 * geo.L1 * geo.L2)
+    c = geo.constants
+    if not (c.reach_lo < y < c.reach_hi):
+        raise UnreachableLengthError(y, c.reach_lo, c.reach_hi)
+    cos_gamma = (c.sum_sq - y * y) / c.two_l1l2
     cos_gamma = min(1.0, max(-1.0, cos_gamma))
     gamma = math.acos(cos_gamma)           # interior knee angle
-    theta_knee = geo.knee_sign * (math.pi - gamma)
+    theta_knee = c.knee_sign * (math.pi - gamma)
     theta_hip = hip_alignment_angle(theta_knee, geo)
     return theta_hip, theta_knee
 
@@ -78,9 +79,7 @@ def forward_kinematics(js: JointState, geo: LegGeometry) -> tuple[float, bool]:
     The second element reports whether the foot lies vertically below the hip
     within 1e-9 m of horizontal offset.
     """
-    y = math.sqrt(
-        geo.L1**2 + geo.L2**2 + 2.0 * geo.L1 * geo.L2 * math.cos(js.theta_knee)
-    )
+    y = leg_length(js.theta_knee, geo)
     # Horizontal foot offset for the actual hip angle.
     x = geo.L1 * math.sin(js.theta_hip) + geo.L2 * math.sin(
         js.theta_hip + js.theta_knee
@@ -90,9 +89,25 @@ def forward_kinematics(js: JointState, geo: LegGeometry) -> tuple[float, bool]:
 
 def leg_length(theta_knee: float, geo: LegGeometry) -> float:
     """Leg length as a function of the knee angle alone."""
-    return math.sqrt(
-        geo.L1**2 + geo.L2**2 + 2.0 * geo.L1 * geo.L2 * math.cos(theta_knee)
-    )
+    c = geo.constants
+    return math.sqrt(c.sum_sq + c.two_l1l2 * math.cos(theta_knee))
+
+
+def _jacobian_terms(theta_knee: float, geo: LegGeometry) -> tuple[float, float, bool]:
+    """(dy_dknee, dhip_dknee, singular) at the given knee angle.
+
+    The one formula behind :func:`leg_jacobian`; the hot callers read it
+    directly instead of building a JointState and a LegJacobian per call.
+    """
+    c = geo.constants
+    cos_k = math.cos(theta_knee)
+    y = math.sqrt(c.sum_sq + c.two_l1l2 * cos_k)
+    s = math.sin(theta_knee)
+    singular = abs(s) < 1e-12 or y < 1e-12
+    dy_dknee = c.neg_l1l2 * s / y if y > 0 else 0.0
+    # d(theta_hip)/d(theta_knee) along the foot-below-hip constraint.
+    dhip_dknee = c.neg_l2 * (c.l2 + c.l1 * cos_k) / (y * y)
+    return dy_dknee, dhip_dknee, singular
 
 
 def leg_jacobian(js: JointState, geo: LegGeometry) -> LegJacobian:
@@ -101,22 +116,16 @@ def leg_jacobian(js: JointState, geo: LegGeometry) -> LegJacobian:
     Entries are returned even at singular configurations (straight or folded
     leg), where dy_dknee vanishes; ``singular`` flags them.
     """
-    y = leg_length(js.theta_knee, geo)
-    s = math.sin(js.theta_knee)
-    singular = abs(s) < 1e-12 or y < 1e-12
-    dy_dknee = -geo.L1 * geo.L2 * s / y if y > 0 else 0.0
-    # d(theta_hip)/d(theta_knee) along the foot-below-hip constraint.
-    dhip_dknee = -geo.L2 * (geo.L2 + geo.L1 * math.cos(js.theta_knee)) / (y * y)
-    return LegJacobian(0.0, dy_dknee, dhip_dknee, singular)
+    return LegJacobian(0.0, *_jacobian_terms(js.theta_knee, geo))
 
 
 def joint_rates(theta_knee: float, v_leg: float, geo: LegGeometry) -> tuple[float, float]:
     """Joint velocities (hip, knee) for a leg-length rate along the posture manifold."""
-    jac = leg_jacobian(JointState(theta_knee=theta_knee), geo)
-    if jac.singular:
+    dy_dknee, dhip_dknee, singular = _jacobian_terms(theta_knee, geo)
+    if singular:
         return 0.0, 0.0
-    thetad_knee = v_leg / jac.dy_dknee
-    return jac.dhip_dknee * thetad_knee, thetad_knee
+    thetad_knee = v_leg / dy_dknee
+    return dhip_dknee * thetad_knee, thetad_knee
 
 
 def task_force(tau_hip: float, tau_knee: float, theta_knee: float, geo: LegGeometry) -> float:
@@ -125,13 +134,12 @@ def task_force(tau_hip: float, tau_knee: float, theta_knee: float, geo: LegGeome
     Virtual work along the one-DOF aligned-leg manifold:
     F*dy = tau_knee*dtheta_knee + tau_hip*dtheta_hip.
     """
-    jac = leg_jacobian(JointState(theta_knee=theta_knee), geo)
-    if jac.singular:
+    dy_dknee, dhip_dknee, singular = _jacobian_terms(theta_knee, geo)
+    if singular:
         return 0.0
-    return (tau_knee + tau_hip * jac.dhip_dknee) / jac.dy_dknee
+    return (tau_knee + tau_hip * dhip_dknee) / dy_dknee
 
 
 def knee_torque_for_force(force: float, theta_knee: float, geo: LegGeometry) -> float:
     """Knee torque that alone produces the given task-space force."""
-    jac = leg_jacobian(JointState(theta_knee=theta_knee), geo)
-    return force * jac.dy_dknee
+    return force * _jacobian_terms(theta_knee, geo)[0]

@@ -72,6 +72,8 @@ class LegConstants(NamedTuple):
 
     y_lo: float      # folded stop, |L1 - L2| + REACH_MARGIN
     y_hi: float      # straight stop, L1 + L2 - REACH_MARGIN
+    reach_lo: float  # |L1 - L2|, the open reach interval's ends
+    reach_hi: float  # L1 + L2
     sum_sq: float    # L1**2 + L2**2
     two_l1l2: float  # 2*L1*L2
     neg_l1l2: float  # -L1*L2
@@ -96,6 +98,8 @@ class LegGeometry:
         return LegConstants(
             y_lo=abs(L1 - L2) + REACH_MARGIN,
             y_hi=L1 + L2 - REACH_MARGIN,
+            reach_lo=abs(L1 - L2),
+            reach_hi=L1 + L2,
             sum_sq=L1**2 + L2**2,
             two_l1l2=2.0 * L1 * L2,
             neg_l1l2=-L1 * L2,

@@ -11,11 +11,12 @@ Both the run loop and :func:`step` go through one substep core,
 :func:`_substep`, which evaluates each distinct leg configuration once.  The
 force evaluated at the state after a substep is that step's post-step pin
 force and the next substep's stage-1 force and pre-step pin force; the last
-evaluation of a tick also gives the joint state recorded for it.  Only the
-stage 2-4 states of each RK4 step, the state after an event, and the first
-state of a tick under new torques are evaluated afresh.  The reuse changes no
-floating-point operation, so telemetry is byte-identical to evaluating every
-configuration each time it is needed.
+evaluation of a tick also gives the joint state recorded for it, and its leg
+terms carry into the next tick, whose first force differs only in the held
+torques.  Only the stage 2-4 states of each RK4 step, the state after an
+event, and the start state of a run or of a lone :func:`step` are evaluated
+afresh.  The reuse changes no floating-point operation, so telemetry is
+byte-identical to evaluating every configuration each time it is needed.
 
 The module also provides :class:`TwoMassReference`, an RK4-plus-events
 integration of the ideal two-mass model itself (the dynamics the closed-form
@@ -128,6 +129,8 @@ class RunSetup:
     dt: float = 2.5e-4
     control_rate: float = 4000.0
     tracking_gains: Gains | None = None
+    # Abort once more than this many ticks in total, consecutive or not, had
+    # their desired length clamped into the leg's reach.
     max_ik_failures: int = 100
     max_duration: float = 30.0  # guard for hop-count runs
 
@@ -148,7 +151,7 @@ class RunResult:
 
 def _leg_terms(y_rel: float, geo: LegGeometry):
     """(theta_knee, dy_dknee, dhip_dknee) at a reach-capped leg length."""
-    y_lo, y_hi, sum_sq, two_l1l2, neg_l1l2, neg_l2, l1, l2, knee_sign = geo.constants
+    y_lo, y_hi, _, _, sum_sq, two_l1l2, neg_l1l2, neg_l2, l1, l2, knee_sign = geo.constants
     y = y_lo if y_rel < y_lo else y_rel
     if y > y_hi:
         y = y_hi
@@ -169,10 +172,7 @@ def _joints_from(terms, v_rel: float, geo: LegGeometry) -> kinematics.JointState
     theta_k, dy_dknee, dhip_dknee = terms
     thetad_k = v_rel / dy_dknee if dy_dknee != 0.0 else 0.0
     return kinematics.JointState(
-        theta_hip=kinematics.hip_alignment_angle(theta_k, geo),
-        theta_knee=theta_k,
-        thetad_hip=dhip_dknee * thetad_k,
-        thetad_knee=thetad_k,
+        kinematics.hip_alignment_angle(theta_k, geo), theta_k, dhip_dknee * thetad_k, thetad_k
     )
 
 
@@ -213,8 +213,8 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
 
 
 ForceLaw = Callable[[float, float], float]  # (y_rel, v_rel) -> task force, N
-# (y_rel, v_rel) -> (task force, leg terms or None)
-PlantLaw = Callable[[float, float], tuple[float, tuple | None]]
+# (y_rel, v_rel[, leg terms at y_rel]) -> (task force, leg terms or None)
+PlantLaw = Callable[..., tuple[float, tuple | None]]
 
 
 def _plant_law(
@@ -224,16 +224,18 @@ def _plant_law(
 
     Held joint torques map to the task force through the leg terms at the
     configuration, which are returned with the force so the caller can reuse
-    them for the joint state.  A continuous ``law`` reads no leg terms and
-    returns None in their place.
+    them for the joint state.  A caller that already holds the leg terms at
+    ``y_rel`` passes them in and they are not evaluated again.  A continuous
+    ``law`` reads no leg terms and returns None in their place.
     """
     if law is not None:
-        return lambda y_rel, v_rel: (law(y_rel, v_rel), None)
+        return lambda y_rel, v_rel, terms=None: (law(y_rel, v_rel), None)
     tau_h = cmd.hip.tau_des if cmd is not None else 0.0
     tau_k = cmd.knee.tau_des if cmd is not None else 0.0
 
-    def held(y_rel, v_rel):
-        terms = _leg_terms(y_rel, geo)
+    def held(y_rel, v_rel, terms=None):
+        if terms is None:
+            terms = _leg_terms(y_rel, geo)
         dy_dknee = terms[1]
         if dy_dknee == 0.0:
             return 0.0, terms
@@ -320,17 +322,8 @@ def _state_at(t, phase, yb, vb, yf, vf, f, terms, cmd, p: HopperParams, geo: Leg
     """SimState at the end of a step, from the force evaluation made there."""
     if terms is None:
         terms = _leg_terms(yb - yf, geo)
-    return SimState(
-        t=t,
-        phase=phase,
-        y_body=yb,
-        v_body=vb,
-        y_foot=yf,
-        v_foot=vf,
-        joints=_joints_from(terms, vb - vf, geo),
-        last_cmd=cmd,
-        pin_force=p.m_e * p.g + f if phase is HopPhase.STANCE else 0.0,
-    )
+    pin_force = p.m_e * p.g + f if phase is HopPhase.STANCE else 0.0
+    return SimState(t, phase, yb, vb, yf, vf, _joints_from(terms, vb - vf, geo), cmd, pin_force)
 
 
 def step(
@@ -465,25 +458,15 @@ def initial_state(setup: RunSetup) -> SimState:
 
 def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
     js = state.joints
+    hip_dyn, hip_sat, hip_des = cmd.hip
+    knee_dyn, knee_sat, knee_des = cmd.knee
+    # positional, in the order of Record's fields
     return Record(
-        t=state.t,
-        phase=state.phase.value,
-        y_body=state.y_body,
-        v_body=state.v_body,
-        y_foot=state.y_foot,
-        v_foot=state.v_foot,
-        theta_hip=js.theta_hip,
-        theta_knee=js.theta_knee,
-        thetad_hip=js.thetad_hip,
-        thetad_knee=js.thetad_knee,
-        tau_dyn_hip=cmd.hip.tau_dyn,
-        tau_dyn_knee=cmd.knee.tau_dyn,
-        tau_des_hip=cmd.hip.tau_des,
-        tau_des_knee=cmd.knee.tau_des,
-        tau_sat_hip=cmd.hip.tau_sat,
-        tau_sat_knee=cmd.knee.tau_sat,
-        c_act_hip=saturation_ratio(cmd.hip.tau_des, cmd.hip.tau_sat),
-        c_act_knee=saturation_ratio(cmd.knee.tau_des, cmd.knee.tau_sat),
+        state.t, state.phase.value,
+        state.y_body, state.v_body, state.y_foot, state.v_foot,
+        js.theta_hip, js.theta_knee, js.thetad_hip, js.thetad_knee,
+        hip_dyn, knee_dyn, hip_des, knee_des, hip_sat, knee_sat,
+        saturation_ratio(hip_des, hip_sat), saturation_ratio(knee_des, knee_sat),
     )
 
 
@@ -531,6 +514,7 @@ def run(setup: RunSetup) -> RunResult:
     state = initial_state(setup)
     ik_failures = 0
     landings = 0
+    terms = None  # leg terms at the current state, carried from the last tick
 
     def abort(reason: str) -> RunResult:
         log.failure = reason
@@ -545,14 +529,16 @@ def run(setup: RunSetup) -> RunResult:
             if ik_failures > setup.max_ik_failures:
                 log.records.append(_record_from(state, cmd))
                 return abort(
-                    f"desired trajectory unreachable for {ik_failures} ticks "
+                    f"desired trajectory unreachable on {ik_failures} ticks in total "
                     f"(limit {setup.max_ik_failures})"
                 )
         log.records.append(_record_from(state, cmd))
 
         law = _plant_law(cmd, spring_law, geo)
         try:
-            state, landed = _advance_tick(state, cmd, law, dt_sub, n_sub, p, geo, log, controller)
+            state, landed, terms = _advance_tick(
+                state, cmd, law, terms, dt_sub, n_sub, p, geo, log, controller
+            )
         except SimulationAbort as exc:
             return abort(str(exc))
         landings += landed
@@ -563,20 +549,27 @@ def run(setup: RunSetup) -> RunResult:
         )
 
     log.records.append(_record_from(state, controller.command(state)))
+    if setup.hops is not None and landings < setup.hops:
+        return abort(
+            f"hop target not reached ({landings} of {setup.hops} landings "
+            f"by t={state.t:.6f})"
+        )
     return RunResult(log, "ok", setup)
 
 
-def _advance_tick(state, cmd, law, dt_sub, n_sub, p, geo, log, controller):
+def _advance_tick(state, cmd, law, terms, dt_sub, n_sub, p, geo, log, controller):
     """Integrate one control tick of ``n_sub`` substeps under held commands.
 
-    Phase events found inside a substep are appended to ``log.events``.
-    Returns the state at the end of the tick and the number of landings
-    among those events.
+    ``terms`` are the leg terms at ``state`` if the caller holds them (the
+    last tick ended there), else None.  Phase events found inside a substep
+    are appended to ``log.events``.  Returns the state at the end of the
+    tick, the number of landings among those events, and the leg terms at
+    the end state (None under a continuous force law).
     """
     t, phase = state.t, state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
     weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
-    f, terms = law(yb - yf, vb - vf)
+    f, terms = law(yb - yf, vb - vf, terms)
     landings = 0
 
     for _ in range(n_sub):
@@ -616,7 +609,7 @@ def _advance_tick(state, cmd, law, dt_sub, n_sub, p, geo, log, controller):
             t = t_ev
             f, terms = law(yb - yf, vb - vf)
 
-    return _state_at(t, phase, yb, vb, yf, vf, f, terms, cmd, p, geo), landings
+    return _state_at(t, phase, yb, vb, yf, vf, f, terms, cmd, p, geo), landings, terms
 
 
 # --- two-mass model reference integration ----------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -224,10 +225,50 @@ class TestCmdRun:
         assert code == 2
         status = (out / "status.txt").read_text()
         assert status.startswith("aborted:")
+        assert "ticks in total (limit 100)" in status
         # the partial log is still complete rows with the full header
         lines = (out / "run.csv").read_text().splitlines()
         assert len(lines) >= 2
         assert all(line.count(",") == lines[0].count(",") for line in lines)
+
+    def test_hop_target_not_reached_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a 0.2 s guard in place of the 30 s default keeps the run short
+        resolve = RunConfig.resolve
+        monkeypatch.setattr(
+            RunConfig, "resolve", lambda self: replace(resolve(self), max_duration=0.2)
+        )
+        cfg = write(tmp_path, "[run]\npreset = physical-force\n[motor]\ntau_max = 0.001\n")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--hops", "3", "--out", str(out)])
+        assert code == 2
+        status = (out / "status.txt").read_text()
+        assert status == "aborted: hop target not reached (0 of 3 landings by t=0.200000)\n"
+        assert "hop target not reached" in capsys.readouterr().err
+
+    def test_controller_flag_accepts_spring(self, tmp_path):
+        flag = tmp_path / "flag"
+        assert main([
+            "run", "--preset", "physical-force", "--controller", "spring",
+            "--hops", "1", "--out", str(flag),
+        ]) == 0
+        assert (flag / "status.txt").read_text() == "ok\n"
+        # the same run as `controller = spring` in a config file
+        cfg = write(tmp_path, "[run]\npreset = physical-force\ncontroller = spring\n")
+        file = tmp_path / "file"
+        assert main(["run", "--config", str(cfg), "--hops", "1", "--out", str(file)]) == 0
+        assert (flag / "run.csv").read_bytes() == (file / "run.csv").read_bytes()
+
+    def test_python_m_hopsim(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopsim", "presets"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "physical-force" in proc.stdout
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = main(["run", "--preset", "nope", "--out", str(tmp_path / "x")])

@@ -122,6 +122,25 @@ class TestClamp:
             assert cmd.tau_des == tau
 
 
+class TestCommandTypes:
+    def test_fields_order_and_default(self):
+        assert control.TorqueCommand._fields == ("tau_dyn", "tau_sat", "tau_des")
+        assert control.JointCommands._fields == ("hip", "knee", "ik_clamped")
+        hip = control.TorqueCommand(tau_dyn=1.0, tau_sat=2.0, tau_des=1.0)
+        knee = control.TorqueCommand(-3.0, 2.0, -2.0)
+        cmd = control.JointCommands(hip, knee)
+        assert cmd.ik_clamped is False
+        assert cmd.hip.tau_dyn == 1.0 and cmd.knee.tau_des == -2.0
+        assert control.JointCommands(hip=hip, knee=knee, ik_clamped=True).ik_clamped is True
+
+    def test_immutable(self):
+        cmd = control.JointCommands(make_command(1.0, 0.0, MOTOR), make_command(2.0, 0.0, MOTOR))
+        with pytest.raises(AttributeError):
+            cmd.ik_clamped = True
+        with pytest.raises(AttributeError):
+            cmd.hip.tau_des = 0.0
+
+
 class TestControllerSteps:
     def test_flight_apex_zero_command(self, bundle_physical):
         b = bundle_physical

@@ -1,9 +1,10 @@
-"""Byte-identity gate for the plant and the output layer.
+"""Byte-identity gate for the controller, the plant and the output layer.
 
 Pinned digests: ``run.csv`` of single runs, and every file of a plotted
 force-vs-position comparison.  Bitwise oracles: the leg-terms kernel, the
-AOR lookup, the CSV row format and the SVG polyline, each against a verbatim
-copy of the code it replaced.
+AOR lookup, the CSV row format, the SVG polyline, the trajectory cycle, the
+leg kinematics and the envelope command, each against a verbatim copy of the
+code it replaced.
 
 The run.csv digests were taken before the plant's inner loop was rebuilt to
 evaluate each leg configuration once; the comparison digests before the
@@ -18,10 +19,12 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from hopsim import sim, svg
+from hopsim import analytic, control, kinematics, model, sim, svg
 from hopsim.cli import main
+from hopsim.errors import UnreachableLengthError
+from hopsim.kinematics import LegJacobian
 from hopsim.metrics import AorCurve, aor_curve
-from hopsim.model import LegGeometry, MotorParams
+from hopsim.model import HopperParams, LegGeometry, MotorParams
 
 SPRING_CONFIG = "[run]\npreset = physical-force\ncontroller = spring\n"
 
@@ -365,3 +368,270 @@ def test_line_plot_equal_to_per_coordinate_format_on_a_run(force_run_1hop):
     ]
     kwargs = dict(title="t", xlabel="x", ylabel="y")
     assert svg.line_plot(series, **kwargs) == reference_line_plot(series, **kwargs)
+
+
+def outcome(fn, *args):
+    """A call's float results as bits, or the error it raised."""
+    try:
+        result = fn(*args)
+    except UnreachableLengthError as exc:
+        return "raise", UnreachableLengthError, bits([exc.y, exc.lo, exc.hi])
+    except ArithmeticError as exc:
+        return "raise", type(exc)
+    if isinstance(result, LegJacobian):
+        return bits([result.dy_dhip, result.dy_dknee, result.dhip_dknee]), result.singular
+    if isinstance(result, tuple):
+        return bits(result)
+    return bits([result])
+
+
+# --- trajectory cycle ---------------------------------------------------------
+
+
+def reference_leg_length(cycle, t):
+    """TrajectoryCycle.leg_length as first written, kept as the oracle."""
+    t = t % cycle.period
+    if t < cycle.t_lo:
+        return analytic.stance_position(t, cycle.params)
+    if t <= cycle.touchdown_time:
+        return analytic.flight_leg_length(t - cycle.t_lo, cycle.params, cycle.lift)
+    return analytic.stance_position(cycle.period - t, cycle.params)
+
+
+def reference_leg_velocity(cycle, t):
+    """TrajectoryCycle.leg_velocity as first written, kept as the oracle."""
+    t = t % cycle.period
+    if t < cycle.t_lo:
+        return analytic.stance_velocity(t, cycle.params)
+    if t <= cycle.touchdown_time:
+        return analytic.flight_leg_velocity(t - cycle.t_lo, cycle.params, cycle.lift)
+    return -analytic.stance_velocity(cycle.period - t, cycle.params)
+
+
+def reference_y_des(cycle, t):
+    """TrajectoryCycle.y_des over the oracle leg length."""
+    return analytic.compensation(
+        t % cycle.period, cycle.period, cycle.params.C_max
+    ) * reference_leg_length(cycle, t)
+
+
+def reference_y_des_rate(cycle, t):
+    """TrajectoryCycle.y_des_rate over the oracle leg length and rate."""
+    t = t % cycle.period
+    c = analytic.compensation(t, cycle.period, cycle.params.C_max)
+    cdot = analytic.compensation_rate(t, cycle.period, cycle.params.C_max)
+    return c * reference_leg_velocity(cycle, t) + cdot * reference_leg_length(cycle, t)
+
+
+CYCLE_PAIRS = [
+    (analytic.TrajectoryCycle.leg_length, reference_leg_length),
+    (analytic.TrajectoryCycle.leg_velocity, reference_leg_velocity),
+    (analytic.TrajectoryCycle.y_des, reference_y_des),
+    (analytic.TrajectoryCycle.y_des_rate, reference_y_des_rate),
+]
+
+
+def cycle_edge_times(cycle):
+    """The segment boundaries, one ulp either side, and times outside a cycle.
+
+    A tiny negative time reduces to exactly one period, which is where the
+    repeated modulo of the original forms matters.
+    """
+    times = [0.0, -0.0, 5e-324, -5e-324, -1e-20, 1e6, -1e6]
+    for b in (cycle.t_lo, cycle.touchdown_time, cycle.period, cycle.period / 2.0):
+        times += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf), -b]
+    times += [2.5 * cycle.period, 7.0 * cycle.period + cycle.t_lo, -3.0 * cycle.period]
+    return times
+
+
+CYCLE_PARAMS = [
+    model.PHYSICAL,
+    model.PAPER_LITERAL,
+    HopperParams(k_s=1700.0 * 0.97, C_amp=0.12 * 1.03),
+    HopperParams(C_max=0.0),
+    HopperParams(m=2.0, m_e=1.5, k_s=900.0, C_amp=0.05, C_max=0.4),
+]
+
+
+@pytest.mark.parametrize("params", CYCLE_PARAMS, ids=range(len(CYCLE_PARAMS)))
+def test_cycle_bitwise_at_edges(params):
+    cycle = analytic.TrajectoryCycle(params)
+    for t in cycle_edge_times(cycle):
+        for fast, reference in CYCLE_PAIRS:
+            assert outcome(fast, cycle, t) == outcome(reference, cycle, t), (fast.__name__, t)
+
+
+@given(
+    m=st.floats(2.0, 10.0),
+    m_e=st.floats(0.2, 2.0),
+    k_s=st.floats(800.0, 4000.0),
+    C_amp=st.floats(0.03, 0.2),
+    C_max=st.floats(0.0, 0.5),
+    cycles=st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+def test_cycle_bitwise_equal_to_free_forms(m, m_e, k_s, C_amp, C_max, cycles):
+    cycle = analytic.TrajectoryCycle(HopperParams(m=m, m_e=m_e, k_s=k_s, C_amp=C_amp, C_max=C_max))
+    t = cycles * cycle.period
+    for fast, reference in CYCLE_PAIRS:
+        assert outcome(fast, cycle, t) == outcome(reference, cycle, t), fast.__name__
+
+
+# --- leg kinematics -----------------------------------------------------------
+
+
+def reference_inverse_kinematics(y, geo):
+    """kinematics.inverse_kinematics as first written, kept as the oracle,
+    with reach_interval and hip_alignment_angle as they were written inline."""
+    lo, hi = abs(geo.L1 - geo.L2), geo.L1 + geo.L2
+    if not (lo < y < hi):
+        raise UnreachableLengthError(y, lo, hi)
+    cos_gamma = (geo.L1**2 + geo.L2**2 - y * y) / (2.0 * geo.L1 * geo.L2)
+    cos_gamma = min(1.0, max(-1.0, cos_gamma))
+    gamma = math.acos(cos_gamma)           # interior knee angle
+    theta_knee = geo.knee_sign * (math.pi - gamma)
+    theta_hip = -math.atan2(
+        geo.L2 * math.sin(theta_knee), geo.L1 + geo.L2 * math.cos(theta_knee)
+    )
+    return theta_hip, theta_knee
+
+
+def reference_leg_jacobian(js, geo):
+    """kinematics.leg_jacobian as first written, kept as the oracle."""
+    y = math.sqrt(
+        geo.L1**2 + geo.L2**2 + 2.0 * geo.L1 * geo.L2 * math.cos(js.theta_knee)
+    )
+    s = math.sin(js.theta_knee)
+    singular = abs(s) < 1e-12 or y < 1e-12
+    dy_dknee = -geo.L1 * geo.L2 * s / y if y > 0 else 0.0
+    dhip_dknee = -geo.L2 * (geo.L2 + geo.L1 * math.cos(js.theta_knee)) / (y * y)
+    return LegJacobian(0.0, dy_dknee, dhip_dknee, singular)
+
+
+def reference_joint_rates(theta_knee, v_leg, geo):
+    """kinematics.joint_rates as first written, kept as the oracle."""
+    jac = reference_leg_jacobian(kinematics.JointState(theta_knee=theta_knee), geo)
+    if jac.singular:
+        return 0.0, 0.0
+    thetad_knee = v_leg / jac.dy_dknee
+    return jac.dhip_dknee * thetad_knee, thetad_knee
+
+
+def reference_task_force(tau_hip, tau_knee, theta_knee, geo):
+    """kinematics.task_force as first written, kept as the oracle."""
+    jac = reference_leg_jacobian(kinematics.JointState(theta_knee=theta_knee), geo)
+    if jac.singular:
+        return 0.0
+    return (tau_knee + tau_hip * jac.dhip_dknee) / jac.dy_dknee
+
+
+def reference_knee_torque_for_force(force, theta_knee, geo):
+    """kinematics.knee_torque_for_force as first written, kept as the oracle."""
+    jac = reference_leg_jacobian(kinematics.JointState(theta_knee=theta_knee), geo)
+    return force * jac.dy_dknee
+
+
+def check_kinematics(geo, y, theta_knee, rate):
+    """Every kinematics entry point against its oracle at one point."""
+    js = kinematics.JointState(theta_knee=theta_knee)
+    pairs = [
+        (kinematics.inverse_kinematics, reference_inverse_kinematics, (y, geo)),
+        (kinematics.leg_jacobian, reference_leg_jacobian, (js, geo)),
+        (kinematics.joint_rates, reference_joint_rates, (theta_knee, rate, geo)),
+        (kinematics.task_force, reference_task_force, (rate, -rate, theta_knee, geo)),
+        (kinematics.knee_torque_for_force, reference_knee_torque_for_force,
+         (rate, theta_knee, geo)),
+    ]
+    for fast, reference, args in pairs:
+        assert outcome(fast, *args) == outcome(reference, *args), (fast.__name__, args)
+
+
+KINEMATICS_GEOMETRIES = [
+    LegGeometry(),
+    LegGeometry(knee_sign=-1),
+    LegGeometry(L1=0.3, L2=0.45, knee_sign=-1),
+    LegGeometry(L1=0.4, L2=0.4),  # equal links: the folded leg has zero length
+    # links so short that a nearly folded leg is shorter than the 1e-12
+    # singularity threshold while its knee sine is not
+    LegGeometry(L1=1e-7, L2=1e-7),
+]
+LIMIT_RATES = [0.0, -0.0, 1.0, -3.5, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("geo", KINEMATICS_GEOMETRIES, ids=range(len(KINEMATICS_GEOMETRIES)))
+def test_kinematics_bitwise_at_straight_folded_and_reach_limits(geo):
+    lo, hi = abs(geo.L1 - geo.L2), geo.L1 + geo.L2
+    lengths = [
+        lo, hi, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf),
+        0.5 * (lo + hi), 0.0, -0.0, -hi, 2.0 * hi, math.nan, math.inf,
+    ]
+    # straight (0), folded (pi) and one ulp inside, both branches
+    angles = [
+        0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-7,
+        1e-13, 1.0, -2.0,
+    ]
+    for y in lengths:
+        for theta_knee in angles:
+            for rate in LIMIT_RATES:
+                check_kinematics(geo, y, theta_knee, rate)
+
+
+@given(
+    L1=links,
+    L2=links,
+    knee_sign=st.sampled_from([1, -1]),
+    scale=st.floats(min_value=-0.2, max_value=1.2),
+    theta_knee=st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, math.pi, -math.pi]),
+    rate=st.floats(-50.0, 50.0) | st.sampled_from(LIMIT_RATES),
+)
+def test_kinematics_bitwise_equal_to_reference(L1, L2, knee_sign, scale, theta_knee, rate):
+    geo = LegGeometry(L1=L1, L2=L2, knee_sign=knee_sign)
+    lo, hi = abs(L1 - L2), L1 + L2
+    check_kinematics(geo, lo + scale * (hi - lo), theta_knee, rate)
+
+
+# --- envelope command ---------------------------------------------------------
+
+
+def reference_make_command(tau_dyn, thetad_act, motor):
+    """control.make_command as first written, kept as the oracle."""
+    tau_sat = control.actuator_saturation(thetad_act, motor)
+    return control.TorqueCommand(tau_dyn=tau_dyn, tau_sat=tau_sat, tau_des=control.clamp(tau_dyn, tau_sat))
+
+
+COMMAND_MOTORS = [MotorParams(), MotorParams(tau_max=2000.0, omega_max=1000.0, R=1.0)]
+
+
+def command_speeds(motor):
+    """Joint speeds around the no-load speed omega_max / R, both signs."""
+    no_load = motor.omega_max / motor.R
+    speeds = [0.0, -0.0, 1.0, no_load, math.nextafter(no_load, 0.0),
+              math.nextafter(no_load, math.inf), 2.0 * no_load, math.inf, math.nan]
+    return speeds + [-s for s in speeds]
+
+
+COMMAND_TORQUES = [0.0, -0.0, 1.0, -1.0, 35.0, -35.0, 1e9, -1e9, math.inf, -math.inf, math.nan]
+
+
+def command_bits(make, tau, thetad, motor):
+    cmd = make(tau, thetad, motor)
+    return bits([cmd.tau_dyn, cmd.tau_sat, cmd.tau_des])
+
+
+@pytest.mark.parametrize("motor", COMMAND_MOTORS, ids=["default", "oracle"])
+def test_make_command_bitwise_at_no_load_and_limits(motor):
+    for thetad in command_speeds(motor):
+        for tau in COMMAND_TORQUES:
+            args = (tau, thetad, motor)
+            assert command_bits(control.make_command, *args) == command_bits(
+                reference_make_command, *args
+            ), args
+
+
+@given(
+    tau=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(COMMAND_TORQUES),
+    thetad=st.floats(-20.0, 20.0) | st.floats(allow_nan=True, allow_infinity=True),
+    motor=st.sampled_from(COMMAND_MOTORS),
+)
+def test_make_command_bitwise_equal_to_reference(tau, thetad, motor):
+    args = (tau, thetad, motor)
+    assert command_bits(control.make_command, *args) == command_bits(reference_make_command, *args)

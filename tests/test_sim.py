@@ -251,6 +251,43 @@ class TestRun:
         # the run stops on the tick that brought the second landing
         assert res.log.records[-2].t < landings[-1].t <= res.log.records[-1].t
 
+    @pytest.mark.parametrize("controller", ["force", "position"])
+    def test_hop_target_not_reached_aborts(self, physical, controller):
+        from hopsim import model
+
+        # a motor too weak to push off never lands again
+        bundle = model.validate(physical, MotorParams(tau_max=0.001))
+        res = sim.run(
+            RunSetup(bundle=bundle, controller=controller, hops=3, max_duration=0.2)
+        )
+        assert not res.ok
+        assert res.status == "aborted: hop target not reached (0 of 3 landings by t=0.200000)"
+        assert res.log.failure == res.status.removeprefix("aborted: ")
+        assert len(res.log.records) == 801  # every tick up to max_duration, and the last state
+
+    @pytest.mark.parametrize("controller", ["force", "position"])
+    @pytest.mark.parametrize("dt", [2.5e-4, 2.5e-5])
+    def test_leg_terms_evaluated_once_per_configuration(
+        self, bundle_physical, monkeypatch, controller, dt
+    ):
+        # four per RK4 substep (stages 2-4 and the end state), five per event
+        # (the event state and the remainder's substep), one for the initial
+        # joint state and one for the first tick: a tick starts from the leg
+        # terms the previous tick ended on
+        calls = []
+        inner = sim._leg_terms
+
+        def counting(y_rel, geo):
+            calls.append(1)
+            return inner(y_rel, geo)
+
+        monkeypatch.setattr(sim, "_leg_terms", counting)
+        res = sim.run(RunSetup(bundle=bundle_physical, controller=controller, hops=1, dt=dt))
+        assert res.ok
+        ticks = len(res.log.records) - 1
+        n_sub = round(2.5e-4 / dt)
+        assert len(calls) == 2 + 4 * n_sub * ticks + 5 * len(res.log.events)
+
     def test_unreachable_trajectory_aborts_with_partial_log(self, paper_literal):
         from hopsim import model
 
@@ -258,6 +295,8 @@ class TestRun:
         res = sim.run(RunSetup(bundle=bundle, controller="force", hops=1))
         assert not res.ok
         assert "unreachable" in res.status
+        # the limit counts clamped ticks in total, not in a row
+        assert res.status.endswith("unreachable on 101 ticks in total (limit 100)")
         assert res.log.failure is not None
         assert len(res.log.records) > 0
 

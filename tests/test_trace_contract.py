@@ -37,8 +37,12 @@ def test_traced_child_counts_plant_calls(tmp_path):
     result = json.loads((tmp_path / "child.json").read_text())
     assert result["rc"] == 0 and result["runs"] == 1
     counts = result["trace"]["counts"]
-    for name in ("sim.leg_terms", "sim.substeps", "sim.landing_scans"):
+    for name in ("sim.leg_terms", "sim.substeps", "sim.landing_scans", "control.make_command"):
         assert counts.get(name, 0) > 0, name
     spans = result["trace"]["spans"]
-    for name in ("sim.run", "sim.plant", "sim.record", "cli.to_csv"):
+    for name in (
+        "sim.run", "sim.plant", "sim.record", "cli.to_csv",
+        "analytic.y_des", "kinematics.ik", "kinematics.joint_rates",
+        "control.command", "control.clock",
+    ):
         assert spans.get(name, [0])[0] > 0, name
