@@ -24,7 +24,6 @@ from .analytic import (
     switch_times,
 )
 from .control import (
-    ControllerMode,
     ForceController,
     JointCommands,
     PositionController,

@@ -14,8 +14,9 @@ import os
 import statistics
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from . import analytic, metrics, model, sim, svg
 from .errors import ConfigError, HopsimError, ParameterError, SimulationAbort
@@ -28,71 +29,43 @@ EXIT_RUNTIME = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration (physics, controller, run knobs, output)."""
+    """Resolved run configuration (physics, controller, run knobs, output).
 
+    The config file's ``[run]`` keys are the scalar fields, by name and in
+    order.  Each other section fills the dataclass field of its name, or
+    the one whose ``section`` metadata names it (``[hopper]`` fills
+    ``params``); its keys are that dataclass's fields.
+    """
+
+    preset: str | None = None
     controller: str = "force"
-    params: HopperParams = HopperParams(k_s=1700.0)
+    params: HopperParams = field(
+        default=HopperParams(k_s=1700.0), metadata={"section": "hopper"}
+    )
     motor: MotorParams = MotorParams()
     gains: Gains | None = Gains()
     geometry: LegGeometry = LegGeometry()
-    preset: str | None = None
     duration: float | None = None
     hops: int | None = None
     dt: float = 2.5e-4
     control_rate: float = 4000.0
-    out_dir: str = "out"
-    emit_plots: bool = False
+    out: str = "out"
+    plots: bool = False
 
     def to_text(self) -> str:
         """Serialize back to the plain-text config format (round-trips)."""
-        lines = ["[run]"]
-        if self.preset:
-            lines.append(f"preset = {self.preset}")
-        lines.append(f"controller = {self.controller}")
-        if self.duration is not None:
-            lines.append(f"duration = {self.duration!r}")
-        if self.hops is not None:
-            lines.append(f"hops = {self.hops}")
-        lines += [
-            f"dt = {self.dt!r}",
-            f"control_rate = {self.control_rate!r}",
-            f"out = {self.out_dir}",
-            f"plots = {'true' if self.emit_plots else 'false'}",
-            "",
-            "[hopper]",
-        ]
-        p = self.params
-        lines += [
-            f"m = {p.m!r}",
-            f"m_e = {p.m_e!r}",
-            f"m_t = {p.m_t!r}",
-            f"k_s = {p.k_s!r}",
-            f"y_s_neu = {p.y_s_neu!r}",
-            f"C_amp = {p.C_amp!r}",
-            f"C_max = {p.C_max!r}",
-            f"g = {p.g!r}",
-            "",
-            "[motor]",
-            f"tau_max = {self.motor.tau_max!r}",
-            f"omega_max = {self.motor.omega_max!r}",
-            f"R = {self.motor.R!r}",
-        ]
-        if self.gains is not None:
-            lines += [
-                "",
-                "[gains]",
-                f"k_p = {self.gains.k_p!r}",
-                f"k_d = {self.gains.k_d!r}",
-            ]
-        lines += [
-            "",
-            "[geometry]",
-            f"L1 = {self.geometry.L1!r}",
-            f"L2 = {self.geometry.L2!r}",
-            f"knee_sign = {self.geometry.knee_sign}",
-            "",
-        ]
-        return "\n".join(lines)
+        blocks = []
+        for section, (name, _, keys) in _SCHEMA.items():
+            obj = self if name is None else getattr(self, name)
+            if obj is None:
+                continue
+            lines = [f"[{section}]"]
+            for key in keys:
+                value = getattr(obj, key)
+                if value is not None:
+                    lines.append(f"{key} = {_cell(value)}")
+            blocks.append("\n".join(lines) + "\n")
+        return "\n".join(blocks)
 
     def validated(self) -> model.ValidatedBundle:
         """Validate the physics; a violated invariant becomes a ConfigError."""
@@ -112,8 +85,6 @@ class RunConfig:
             hops = 3
         if duration is not None and hops is not None:
             raise ConfigError("specify duration or hops, not both")
-        if self.controller not in ("force", "position", "spring"):
-            raise ConfigError(f"unknown controller {self.controller!r}")
         setup = sim.RunSetup(
             bundle=bundle,
             controller=self.controller,
@@ -129,84 +100,37 @@ class RunConfig:
         return setup
 
 
+_PRESETS = {
+    f"{physics}-{controller}": RunConfig(
+        preset=f"{physics}-{controller}",
+        controller=controller,
+        params=model.physics_preset(physics),
+        # the paper's Table 1 gains; position control scales its own
+        gains=Gains(k_p=5424.0, k_d=9.0) if controller == "force" else None,
+    )
+    for physics in model.PHYSICS_PRESETS
+    for controller in ("force", "position")
+}
+
+RUN_PRESET_NAMES = tuple(_PRESETS)
+
+
 def _run_preset(name: str) -> RunConfig:
-    table1_gains = Gains(k_p=5424.0, k_d=9.0)
-    presets = {
-        "paper-literal-force": RunConfig(
-            controller="force",
-            params=model.physics_preset("paper-literal"),
-            gains=table1_gains,
-            preset="paper-literal-force",
-        ),
-        "paper-literal-position": RunConfig(
-            controller="position",
-            params=model.physics_preset("paper-literal"),
-            gains=None,
-            preset="paper-literal-position",
-        ),
-        "physical-force": RunConfig(
-            controller="force",
-            params=model.physics_preset("physical"),
-            gains=table1_gains,
-            preset="physical-force",
-        ),
-        "physical-position": RunConfig(
-            controller="position",
-            params=model.physics_preset("physical"),
-            gains=None,
-            preset="physical-position",
-        ),
-    }
     try:
-        return presets[name]
+        return _PRESETS[name]
     except KeyError:
-        known = ", ".join(sorted(presets))
+        known = ", ".join(sorted(_PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known: {known})") from None
 
 
-RUN_PRESET_NAMES = (
-    "paper-literal-force",
-    "paper-literal-position",
-    "physical-force",
-    "physical-position",
-)
-
-_SCHEMA = {
-    "run": {
-        "preset": str,
-        "controller": str,
-        "duration": float,
-        "hops": int,
-        "dt": float,
-        "control_rate": float,
-        "out": str,
-        "plots": bool,
-    },
-    "hopper": {
-        "m": float,
-        "m_e": float,
-        "m_t": float,
-        "k_s": float,
-        "y_s_neu": float,
-        "C_amp": float,
-        "C_max": float,
-        "g": float,
-    },
-    "motor": {"tau_max": float, "omega_max": float, "R": float},
-    "gains": {"k_p": float, "k_d": float},
-    "geometry": {"L1": float, "L2": float, "knee_sign": int},
-}
-
-_HOPPER_FIELD = {
-    "m": "m",
-    "m_e": "m_e",
-    "m_t": "m_t",
-    "k_s": "k_s",
-    "y_s_neu": "y_s_neu",
-    "C_amp": "C_amp",
-    "C_max": "C_max",
-    "g": "g",
-}
+def _cell(v) -> str:
+    """One value as config or table text: "" for None, true/false for a
+    bool, else ``str`` (which is ``repr`` for a float)."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -216,6 +140,41 @@ def _parse_bool(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+class _Section(NamedTuple):
+    attr: str | None  # the RunConfig field it fills; None for [run]
+    cls: type  # that field's dataclass
+    keys: dict[str, Callable[[str], object]]  # key -> value parser
+
+
+def _keys(cls) -> dict[str, Callable[[str], object]]:
+    """Config key -> value parser for each scalar field of ``cls``, in order."""
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        tp = _scalar_type(hints[f.name])
+        if not is_dataclass(tp):
+            keys[f.name] = _parse_bool if tp is bool else tp
+    return keys
+
+
+def _scalar_type(tp):
+    """``X`` for an optional ``X | None``, else ``tp`` itself."""
+    return next((a for a in get_args(tp) if a is not type(None)), tp)
+
+
+def _build_schema() -> dict[str, _Section]:
+    schema = {"run": _Section(None, RunConfig, _keys(RunConfig))}
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        cls = _scalar_type(hints[f.name])
+        if is_dataclass(cls):
+            schema[f.metadata.get("section", f.name)] = _Section(f.name, cls, _keys(cls))
+    return schema
+
+
+_SCHEMA = _build_schema()
 
 
 def parse_config(path: str | os.PathLike) -> RunConfig:
@@ -242,57 +201,29 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _SCHEMA[section].keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     has_preset = cp.has_option("run", "preset")
-    has_mass = cp.has_option("hopper", "m")
-    if not has_preset and not has_mass:
+    if not has_preset and not cp.has_option("hopper", "m"):
         raise ConfigError("missing required key: preset or m")
 
-    cfg = _run_preset(cp.get("run", "preset")) if has_preset else RunConfig(preset=None)
-
-    def get(section, key, conv):
-        raw = cp.get(section, key)
-        try:
-            if conv is bool:
-                return _parse_bool(raw)
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
-    if cp.has_section("hopper"):
-        updates = {
-            _HOPPER_FIELD[k]: get("hopper", k, float) for k in cp["hopper"]
-        }
-        cfg = replace(cfg, params=replace(cfg.params, **updates))
-    if cp.has_section("motor"):
-        updates = {k: get("motor", k, float) for k in cp["motor"]}
-        cfg = replace(cfg, motor=replace(cfg.motor, **updates))
-    if cp.has_section("gains"):
-        base = cfg.gains if cfg.gains is not None else Gains()
-        updates = {k: get("gains", k, float) for k in cp["gains"]}
-        cfg = replace(cfg, gains=replace(base, **updates))
-    if cp.has_section("geometry"):
-        conv = {"L1": float, "L2": float, "knee_sign": int}
-        updates = {k: get("geometry", k, conv[k]) for k in cp["geometry"]}
-        cfg = replace(cfg, geometry=replace(cfg.geometry, **updates))
-    if cp.has_section("run"):
-        run = cp["run"]
-        if "controller" in run:
-            cfg = replace(cfg, controller=get("run", "controller", str))
-        if "duration" in run:
-            cfg = replace(cfg, duration=get("run", "duration", float))
-        if "hops" in run:
-            cfg = replace(cfg, hops=get("run", "hops", int))
-        if "dt" in run:
-            cfg = replace(cfg, dt=get("run", "dt", float))
-        if "control_rate" in run:
-            cfg = replace(cfg, control_rate=get("run", "control_rate", float))
-        if "out" in run:
-            cfg = replace(cfg, out_dir=get("run", "out", str))
-        if "plots" in run:
-            cfg = replace(cfg, emit_plots=get("run", "plots", bool))
+    cfg = _run_preset(cp.get("run", "preset")) if has_preset else RunConfig()
+    for section in cp.sections():
+        name, cls, keys = _SCHEMA[section]
+        updates = {}
+        for key, raw in cp[section].items():
+            try:
+                updates[key] = keys[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+        if name is None:
+            cfg = replace(cfg, **updates)
+        else:
+            base = getattr(cfg, name)
+            if base is None:  # a position preset's gains
+                base = cls()
+            cfg = replace(cfg, **{name: replace(base, **updates)})
     if cfg.duration is not None and cfg.hops is not None:
         raise ConfigError("specify duration or hops, not both")
     return cfg
@@ -343,7 +274,11 @@ class RunSummary:
     aor_mean_gap: float | None = None
 
 
-def summarize(result: sim.RunResult) -> RunSummary:
+def summarize(
+    result: sim.RunResult, curve: metrics.AorCurve, trace: tuple
+) -> RunSummary:
+    """The run's summary row; ``curve`` is its motor's AOR curve and
+    ``trace`` its knee speed-torque trace."""
     log = result.log
     lifts = log.lift_events()
     summary = RunSummary(
@@ -365,84 +300,63 @@ def summarize(result: sim.RunResult) -> RunSummary:
     balance = metrics.energy_balance(log, window, result.setup.bundle.params)
     summary.work = balance.work
     summary.energy_residual = balance.residual
-    curve = metrics.aor_curve(result.setup.bundle.motor)
-    summary.aor_mean_gap = metrics.trace_mean_gap(log, curve)
+    summary.aor_mean_gap = metrics.trace_mean_gap(trace, curve)
     return summary
 
 
-_SUMMARY_COLUMNS = (
-    "controller",
-    "status",
-    "records",
-    "lifts",
-    "landings",
-    "t_first_lift",
-    "period",
-    "c_act_avg",
-    "h_r_init",
-    "h_r_max",
-    "work",
-    "energy_residual",
-    "aor_mean_gap",
-)
+def _summary_csv(summary: RunSummary) -> str:
+    header = ",".join(f.name for f in fields(RunSummary))
+    return f"{header}\n{','.join(map(_cell, astuple(summary)))}\n"
 
 
-def _summary_csv(rows: list[RunSummary]) -> str:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    for s in rows:
-        lines.append(",".join(cell(getattr(s, c)) for c in _SUMMARY_COLUMNS))
-    return "\n".join(lines) + "\n"
+# title, x label and y label of the plots written more than once
+_TRACE_AXES = ("knee torque-speed trace vs AOR", "joint speed (rad/s)", "|torque| (N m)")
+_FOOT_AXES = ("foot height", "t (s)", "y_foot (m)")
 
 
-def _emit_run_files(out: Path, result: sim.RunResult, plots: bool) -> RunSummary:
-    """Write one run's files; returns the summary written to summary.csv."""
+def _plot(path: Path, series: list[svg.Series], title: str, xlabel: str, ylabel: str) -> None:
+    write_atomic(path, svg.line_plot(series, title=title, xlabel=xlabel, ylabel=ylabel))
+
+
+def _aor_series(curve: metrics.AorCurve) -> svg.Series:
+    return svg.Series(curve.mirrored(), "AOR", color="#333333", dash="6,3")
+
+
+class _RunOutput(NamedTuple):
+    """A run's summary and its plot data, each built once."""
+
+    summary: RunSummary
+    curve: metrics.AorCurve
+    trace: tuple  # knee (speed, |torque|) over stance
+    foot: tuple | None  # (t, y_foot), built only for plots
+
+
+def _emit_run_files(
+    out: Path, result: sim.RunResult, plots: bool, overlay: bool = False
+) -> _RunOutput:
+    """Write one run's files; ``overlay`` keeps the foot series for a
+    comparison plot even when this run writes no plots of its own."""
     write_atomic(out / "run.csv", result.log.to_csv())
-    summary = summarize(result)
-    write_atomic(out / "summary.csv", _summary_csv([summary]))
+    curve = metrics.aor_curve(result.setup.bundle.motor)
+    trace = tuple(metrics.speed_torque_trace(result.log))
+    summary = summarize(result, curve, trace)
+    write_atomic(out / "summary.csv", _summary_csv(summary))
     write_atomic(out / "status.txt", result.status + "\n")
+    foot = None
+    if plots or overlay:
+        foot = tuple((r.t, r.y_foot) for r in result.log.records)
     if plots:
-        motor = result.setup.bundle.motor
-        curve = metrics.aor_curve(motor)
-        trace = metrics.speed_torque_trace(result.log)
-        series = [
-            svg.Series(curve.mirrored(), "AOR", color="#333333", dash="6,3"),
-            svg.Series(tuple(trace), result.setup.controller),
-        ]
-        write_atomic(
-            out / "aor.svg",
-            svg.line_plot(
-                series,
-                title="knee torque-speed trace vs AOR",
-                xlabel="joint speed (rad/s)",
-                ylabel="|torque| (N m)",
-            ),
-        )
-        foot = [(r.t, r.y_foot) for r in result.log.records]
-        write_atomic(
-            out / "foot.svg",
-            svg.line_plot(
-                [svg.Series(tuple(foot), "foot height")],
-                title="foot height",
-                xlabel="t (s)",
-                ylabel="y_foot (m)",
-            ),
-        )
-    return summary
+        series = [_aor_series(curve), svg.Series(trace, result.setup.controller)]
+        _plot(out / "aor.svg", series, *_TRACE_AXES)
+        _plot(out / "foot.svg", [svg.Series(foot, "foot height")], *_FOOT_AXES)
+    return _RunOutput(summary, curve, trace, foot)
 
 
 def cmd_run(config: RunConfig) -> int:
     """Execute one run and write run.csv, summary.csv, status.txt (and plots)."""
     setup = config.resolve()
-    out = Path(config.out_dir)
     result = sim.run(setup)
-    _emit_run_files(out, result, config.emit_plots)
+    _emit_run_files(Path(config.out), result, config.plots)
     if not result.ok:
         print(f"run aborted: {result.log.failure}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -453,6 +367,12 @@ def _fmt4(v: float | None) -> str:
     return "" if v is None else f"{v:.4f}"
 
 
+# the RunSummary fields compared side by side, in report order
+_COMPARED = (
+    "controller", "status", "h_r_max", "c_act_avg", "period", "energy_residual", "aor_mean_gap"
+)
+
+
 def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     """Run two configurations and emit a side-by-side comparison report.
 
@@ -460,105 +380,46 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     written both as CSV (machine-readable) and plain text.  A side that
     aborts is marked failed while the other side is still reported.
     """
-    out = Path(config_a.out_dir)
-    results, summaries = [], []
+    out = Path(config_a.out)
+    overlay = config_a.plots or config_b.plots
+    results, outputs = [], []
     for label, cfg in (("a", config_a), ("b", config_b)):
-        sub = out / f"{label}-{cfg.controller}"
         try:
             result = sim.run(cfg.resolve())
         except HopsimError as exc:
             raise ConfigError(str(exc)) from exc
-        summaries.append(_emit_run_files(sub, result, cfg.emit_plots))
+        sub = out / f"{label}-{cfg.controller}"
+        outputs.append(_emit_run_files(sub, result, cfg.plots, overlay))
         results.append(result)
-    ra, rb = results
-    sa, sb = summaries
-
-    def delta(x, y):
-        if x is None or y is None:
-            return None
-        return y - x
-
-    rows = [
-        ("controller", sa.controller, sb.controller, ""),
-        ("status", sa.status, sb.status, ""),
-        ("h_r_max", sa.h_r_max, sb.h_r_max, delta(sa.h_r_max, sb.h_r_max)),
-        (
-            "c_act_avg",
-            _fmt4(sa.c_act_avg),
-            _fmt4(sb.c_act_avg),
-            _fmt4(delta(sa.c_act_avg, sb.c_act_avg)),
-        ),
-        ("period", sa.period, sb.period, delta(sa.period, sb.period)),
-        (
-            "energy_residual",
-            sa.energy_residual,
-            sb.energy_residual,
-            delta(sa.energy_residual, sb.energy_residual),
-        ),
-        (
-            "aor_mean_gap",
-            sa.aor_mean_gap,
-            sb.aor_mean_gap,
-            delta(sa.aor_mean_gap, sb.aor_mean_gap),
-        ),
-    ]
-
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+    sa, sb = (o.summary for o in outputs)
 
     csv_lines = ["metric,a,b,delta"]
     txt_lines = [f"comparison: a={sa.controller} vs b={sb.controller}"]
-    for name, va, vb, dv in rows:
-        csv_lines.append(f"{name},{cell(va)},{cell(vb)},{cell(dv)}")
-        txt_lines.append(f"  {name:16s} a={cell(va):24s} b={cell(vb):24s} delta={cell(dv)}")
+    for name in _COMPARED:
+        va, vb = getattr(sa, name), getattr(sb, name)
+        dv = vb - va if isinstance(va, float) and isinstance(vb, float) else None
+        if name == "c_act_avg":
+            va, vb, dv = _fmt4(va), _fmt4(vb), _fmt4(dv)
+        va, vb, dv = _cell(va), _cell(vb), _cell(dv)
+        csv_lines.append(f"{name},{va},{vb},{dv}")
+        txt_lines.append(f"  {name:16s} a={va:24s} b={vb:24s} delta={dv}")
     write_atomic(out / "compare.csv", "\n".join(csv_lines) + "\n")
     report = "\n".join(txt_lines) + "\n"
     write_atomic(out / "compare.txt", report)
     print(report, end="")
 
-    if config_a.emit_plots or config_b.emit_plots:
-        foot = [
-            svg.Series(tuple((r.t, r.y_foot) for r in ra.log.records), f"a:{sa.controller}"),
-            svg.Series(tuple((r.t, r.y_foot) for r in rb.log.records), f"b:{sb.controller}"),
-        ]
-        write_atomic(
-            out / "foot_height.svg",
-            svg.line_plot(foot, title="foot height", xlabel="t (s)", ylabel="y_foot (m)"),
-        )
+    if overlay:
+        labels = [f"a:{sa.controller}", f"b:{sb.controller}"]
+        foot = [svg.Series(o.foot, label) for o, label in zip(outputs, labels)]
+        _plot(out / "foot_height.svg", foot, *_FOOT_AXES)
         cact = [
-            svg.Series(
-                tuple((r.t, min(r.c_act_knee, 1.5)) for r in ra.log.records),
-                f"a:{sa.controller}",
-            ),
-            svg.Series(
-                tuple((r.t, min(r.c_act_knee, 1.5)) for r in rb.log.records),
-                f"b:{sb.controller}",
-            ),
+            svg.Series(tuple((r.t, min(r.c_act_knee, 1.5)) for r in res.log.records), label)
+            for res, label in zip(results, labels)
         ]
-        write_atomic(
-            out / "c_act.svg",
-            svg.line_plot(cact, title="knee saturation ratio", xlabel="t (s)", ylabel="C_act"),
-        )
-        curve = metrics.aor_curve(config_a.motor)
-        trace_series = [
-            svg.Series(curve.mirrored(), "AOR", color="#333333", dash="6,3"),
-            svg.Series(tuple(metrics.speed_torque_trace(ra.log)), f"a:{sa.controller}"),
-            svg.Series(tuple(metrics.speed_torque_trace(rb.log)), f"b:{sb.controller}"),
-        ]
-        write_atomic(
-            out / "trace_aor.svg",
-            svg.line_plot(
-                trace_series,
-                title="knee torque-speed trace vs AOR",
-                xlabel="joint speed (rad/s)",
-                ylabel="|torque| (N m)",
-            ),
-        )
-    if not ra.ok and not rb.ok:
+        _plot(out / "c_act.svg", cact, "knee saturation ratio", "t (s)", "C_act")
+        traces = [svg.Series(o.trace, label) for o, label in zip(outputs, labels)]
+        _plot(out / "trace_aor.svg", [_aor_series(outputs[0].curve), *traces], *_TRACE_AXES)
+    if not results[0].ok and not results[1].ok:
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -573,20 +434,13 @@ def cmd_traj(config: RunConfig) -> int:
         t = i * step
         s = cycle.sample(t)
         lines.append(f"{t!r},{s.y_des!r},{s.phase.value}")
-    out = Path(config.out_dir)
+    out = Path(config.out)
     write_atomic(out / "traj.csv", "\n".join(lines) + "\n")
-    if config.emit_plots:
-        pts = tuple(
-            (i * step, cycle.y_des(i * step)) for i in range(n + 1)
-        )
-        write_atomic(
-            out / "traj.svg",
-            svg.line_plot(
-                [svg.Series(pts, "y_des")],
-                title="desired leg length over one cycle",
-                xlabel="t (s)",
-                ylabel="y_des (m)",
-            ),
+    if config.plots:
+        pts = tuple((i * step, cycle.y_des(i * step)) for i in range(n + 1))
+        _plot(
+            out / "traj.svg", [svg.Series(pts, "y_des")],
+            "desired leg length over one cycle", "t (s)", "y_des (m)",
         )
     return EXIT_OK
 
@@ -597,24 +451,18 @@ def cmd_aor(config: RunConfig, n: int = 256) -> int:
     lines = ["speed,torque"]
     for s, tq in curve.points:
         lines.append(f"{s!r},{tq!r}")
-    out = Path(config.out_dir)
+    out = Path(config.out)
     write_atomic(out / "aor.csv", "\n".join(lines) + "\n")
-    if config.emit_plots:
-        write_atomic(
-            out / "aor.svg",
-            svg.line_plot(
-                [svg.Series(curve.mirrored(), "AOR", color="#333333")],
-                title="admissible operating region (joint side)",
-                xlabel="joint speed (rad/s)",
-                ylabel="torque (N m)",
-            ),
+    if config.plots:
+        _plot(
+            out / "aor.svg", [svg.Series(curve.mirrored(), "AOR", color="#333333")],
+            "admissible operating region (joint side)", "joint speed (rad/s)", "torque (N m)",
         )
     return EXIT_OK
 
 
 def cmd_presets() -> int:
-    for name in RUN_PRESET_NAMES:
-        cfg = _run_preset(name)
+    for name, cfg in _PRESETS.items():
         gains = (
             f"k_p={cfg.gains.k_p:g} k_d={cfg.gains.k_d:g}"
             if cfg.gains is not None
@@ -644,7 +492,7 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
                     help="plain-text config file")
     sp.add_argument("--preset", action=_SourceAction, const="preset", metavar="NAME",
                     help="built-in preset (see 'presets')")
-    sp.add_argument("--controller", choices=["force", "position", "spring"])
+    sp.add_argument("--controller", choices=sim.CONTROLLERS)
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--hops", type=int)
     group.add_argument("--duration", type=float)
@@ -660,18 +508,18 @@ def _config_from_source(kind: str, value: str) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "controller", None):
+    if args.controller:
         cfg = replace(cfg, controller=args.controller)
-    if getattr(args, "hops", None) is not None:
+    if args.hops is not None:
         cfg = replace(cfg, hops=args.hops, duration=None)
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         cfg = replace(cfg, duration=args.duration, hops=None)
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         cfg = replace(cfg, dt=args.dt)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "plots", False):
-        cfg = replace(cfg, emit_plots=True)
+    if args.out:
+        cfg = replace(cfg, out=args.out)
+    if args.plots:
+        cfg = replace(cfg, plots=True)
     return cfg
 
 
@@ -693,11 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "simulate one configuration and write telemetry"),
         ("traj", "emit the desired trajectory over one cycle"),
         ("aor", "emit the admissible operating region boundary"),
+        ("compare", "run two configurations side by side"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_common_flags(sp)
-    sp = sub.add_parser("compare", help="run two configurations side by side")
-    _add_common_flags(sp)
+        _add_common_flags(sub.add_parser(name, help=help_text))
     sub.add_parser("presets", help="list built-in presets")
     return parser
 
@@ -711,13 +557,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg_a, cfg_b = _gather_configs(args, 2)
             return cmd_compare(cfg_a, cfg_b)
         (cfg,) = _gather_configs(args, 1)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "traj":
-            return cmd_traj(cfg)
-        if args.command == "aor":
-            return cmd_aor(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"run": cmd_run, "traj": cmd_traj, "aor": cmd_aor}[args.command](cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

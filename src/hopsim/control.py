@@ -13,17 +13,11 @@ sources are provided:
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
 from . import analytic, kinematics
 from .model import Gains, HopperParams, HopPhase, LegGeometry, MotorParams
-
-
-class ControllerMode(enum.Enum):
-    FORCE = "force"
-    POSITION = "position"
 
 
 class TorqueCommand(NamedTuple):
@@ -219,8 +213,6 @@ class ForceController(_TrajectoryController):
     """Stance torque law with the envelope clamp; rides the envelope when the
     proportional gain is large."""
 
-    mode = ControllerMode.FORCE
-
     def __init__(self, p, geo, motor, gains: Gains, cycle=None):
         super().__init__(p, geo, motor, cycle)
         self.gains = gains
@@ -239,8 +231,6 @@ class ForceController(_TrajectoryController):
 
 class PositionController(_TrajectoryController):
     """Trajectory-tracking PD on position and velocity error, then clamped."""
-
-    mode = ControllerMode.POSITION
 
     def __init__(self, p, geo, motor, tracking_gains: Gains | None = None, cycle=None):
         super().__init__(p, geo, motor, cycle)
@@ -274,8 +264,6 @@ class VirtualSpringController:
     discretization of the command itself.
     """
 
-    mode = None
-
     def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):
         self.params = p
         self.geometry = geo
@@ -304,17 +292,3 @@ class VirtualSpringController:
             make_command(tau_k, state.joints.thetad_knee, self.motor),
         )
 
-
-def force_control_step(state, p, geo, gains, motor) -> JointCommands:
-    """One force-controller command with the trajectory evaluated at state.t."""
-    ctrl = ForceController(p, geo, motor, gains)
-    ctrl.clock.t_traj = state.t % ctrl.cycle.period
-    return ctrl.command(state)
-
-
-def position_control_step(state, p, geo, tracking_gains=None, motor=None) -> JointCommands:
-    """One position-controller command with the trajectory evaluated at state.t."""
-    motor = motor if motor is not None else MotorParams()
-    ctrl = PositionController(p, geo, motor, tracking_gains)
-    ctrl.clock.t_traj = state.t % ctrl.cycle.period
-    return ctrl.command(state)

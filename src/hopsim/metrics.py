@@ -205,13 +205,13 @@ def aor_curve(m: MotorParams, n: int = 256) -> AorCurve:
     return AorCurve(tuple(pts))
 
 
-def trace_mean_gap(log, curve: AorCurve, joint: str = "knee") -> float:
-    """Mean normalized vertical gap between a stance trace and the AOR boundary.
+def trace_mean_gap(trace, curve: AorCurve) -> float:
+    """Mean normalized vertical gap between a stance trace (from
+    :func:`speed_torque_trace`) and the AOR boundary.
 
     Zero means the trace rides the envelope; larger values mean unused torque
     headroom.  Normalized by the stall torque so presets are comparable.
     """
-    trace = speed_torque_trace(log, joint)
     if not trace:
         raise ValueError("log has no stance records")
     stall = curve.stall_torque

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields, replace
+from functools import cache, cached_property
+from typing import NamedTuple, get_type_hints
 
 from .errors import ParameterError
 
@@ -121,6 +121,13 @@ class ValidatedBundle:
     warnings: tuple[str, ...] = field(default=())
 
 
+@cache
+def _float_fields(cls) -> tuple[str, ...]:
+    """The float fields of a parameter class, in field order."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if hints[f.name] is float)
+
+
 def flight_stiffnesses(p: HopperParams) -> tuple[float, float]:
     """Relative stiffnesses (k_f_m, k_f_e) of the flight-phase oscillators.
 
@@ -174,13 +181,9 @@ def validate(
     check(geometry.L1 > 0, "L1", "thigh length must be positive")
     check(geometry.L2 > 0, "L2", "shank length must be positive")
     check(geometry.knee_sign in (1, -1), "knee_sign", "branch selector must be +1 or -1")
-    for obj, names in (
-        (p, ("m", "m_e", "m_t", "k_s", "y_s_neu", "C_amp", "C_max", "g")),
-        (motor, ("tau_max", "omega_max", "R")),
-        (gains, ("k_p", "k_d")),
-        (geometry, ("L1", "L2")),
-    ):
-        for name in names:
+    # knee_sign, the one int field, is covered by its (1, -1) check
+    for obj in (p, motor, gains, geometry):
+        for name in _float_fields(type(obj)):
             if not math.isfinite(getattr(obj, name)):
                 violations.append((name, "must be finite"))
 

@@ -45,6 +45,7 @@ from .model import (
 CONTACT_EPSILON = 1e-9  # touchdown height threshold, m
 _MAX_EVENTS_PER_STEP = 4
 MAX_SUBSTEPS_PER_TICK = 10_000  # largest control period / dt a run accepts
+CONTROLLERS = ("force", "position", "spring")  # the names RunSetup.controller takes
 
 
 class Record(NamedTuple):
@@ -123,7 +124,7 @@ class RunSetup:
     """Resolved inputs for one simulation run."""
 
     bundle: ValidatedBundle
-    controller: str = "force"  # force | position | spring
+    controller: str = "force"  # one of CONTROLLERS
     duration: float | None = None
     hops: int | None = None
     dt: float = 2.5e-4
@@ -423,16 +424,13 @@ def detect_transition(prev: SimState, next_state: SimState, p: HopperParams) -> 
 
 def _build_controller(setup: RunSetup):
     b = setup.bundle
-    name = setup.controller
-    if name == "force":
+    if setup.controller == "force":
         return control.ForceController(b.params, b.geometry, b.motor, b.gains)
-    if name == "position":
+    if setup.controller == "position":
         return control.PositionController(
             b.params, b.geometry, b.motor, setup.tracking_gains
         )
-    if name == "spring":
-        return control.VirtualSpringController(b.params, b.geometry, b.motor)
-    raise ValueError(f"unknown controller {name!r} (force, position, spring)")
+    return control.VirtualSpringController(b.params, b.geometry, b.motor)
 
 
 def initial_state(setup: RunSetup) -> SimState:
@@ -470,8 +468,22 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
     )
 
 
+def _substeps(setup: RunSetup) -> tuple[float, int, float]:
+    """The control period, the substeps per tick and the substep length."""
+    period = 1.0 / setup.control_rate
+    n_sub = max(1, round(period / setup.dt))
+    return period, n_sub, period / n_sub
+
+
+def _end_time(setup: RunSetup) -> float:
+    return setup.duration if setup.duration is not None else setup.max_duration
+
+
 def check_setup(setup: RunSetup) -> None:
     """Raise ValueError with a one-line reason if the run knobs cannot run."""
+    if setup.controller not in CONTROLLERS:
+        known = ", ".join(CONTROLLERS)
+        raise ValueError(f"unknown controller {setup.controller!r} (known: {known})")
     if (setup.duration is None) == (setup.hops is None):
         raise ValueError("exactly one of duration or hops must be set")
     if not (math.isfinite(setup.dt) and setup.dt > 0.0):
@@ -488,6 +500,14 @@ def check_setup(setup: RunSetup) -> None:
         raise ValueError("duration must be non-negative and finite")
     if setup.hops is not None and setup.hops < 1:
         raise ValueError("hops must be at least 1")
+    # a substep too short to change t_end when added to it stalls the clock
+    # short of t_end, and the run never ends
+    t_end, dt_sub = _end_time(setup), _substeps(setup)[2]
+    if t_end + dt_sub == t_end:
+        raise ValueError(
+            f"control_rate={setup.control_rate!r} gives a substep of {dt_sub!r} s, "
+            f"too short to advance the clock at t={t_end!r} s"
+        )
 
 
 def run(setup: RunSetup) -> RunResult:
@@ -503,13 +523,11 @@ def run(setup: RunSetup) -> RunResult:
 
     b = setup.bundle
     p, geo = b.params, b.geometry
-    period = 1.0 / setup.control_rate
-    n_sub = max(1, round(period / setup.dt))
-    dt_sub = period / n_sub
+    period, n_sub, dt_sub = _substeps(setup)
     controller = _build_controller(setup)
     spring_law = controller.force_law if setup.controller == "spring" else None
 
-    t_end = setup.duration if setup.duration is not None else setup.max_duration
+    t_end = _end_time(setup)
     log = TelemetryLog()
     state = initial_state(setup)
     ik_failures = 0

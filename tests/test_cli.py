@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopsim import analytic, cli, model, sim
 from hopsim.cli import RunConfig, main, parse_config
@@ -17,6 +18,51 @@ def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def run_cli_in_child(argv):
+    """Run the CLI in a child process, so a run that never ends fails the
+    test on the timeout instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; from hopsim.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+        ],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def config_values(parse):
+    """Value text of the key's type: float and int literals, names, booleans."""
+    if parse is float:
+        return st.floats().map(repr)
+    if parse is int:
+        return st.integers(-3, 10**6).map(str)
+    if parse is str:
+        return st.sampled_from([*cli.RUN_PRESET_NAMES, *sim.CONTROLLERS])
+    return st.sampled_from(["true", "off"])
+
+
+# config files as {section: {key: value text}}, built from the parser's schema
+CONFIG_SECTIONS = st.fixed_dictionaries(
+    {},
+    optional={
+        section: st.fixed_dictionaries(
+            {}, optional={key: config_values(parse) for key, parse in keys.items()}
+        )
+        for section, (_, _, keys) in cli._SCHEMA.items()
+    },
+)
+# one key of the schema set to arbitrary one-line text
+ARBITRARY_VALUE = st.tuples(
+    st.sampled_from([(sec, key) for sec, (_, _, keys) in cli._SCHEMA.items() for key in keys]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")),
+)
 
 
 class TestParseConfig:
@@ -99,6 +145,29 @@ class TestParseConfig:
         cfg2 = parse_config(write(tmp_path, cfg.to_text(), name="round.cfg"))
         assert cfg == cfg2
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sections=CONFIG_SECTIONS, arbitrary=st.none() | ARBITRARY_VALUE)
+    def test_any_config_parses_or_raises_config_error(self, tmp_path, sections, arbitrary):
+        if arbitrary is not None:
+            (section, key), value = arbitrary
+            sections.setdefault(section, {})[key] = value
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+            for section, keys in sections.items()
+        )
+        try:
+            cfg = parse_config(write(tmp_path, text))
+        except ConfigError:
+            return
+        again = parse_config(write(tmp_path, cfg.to_text(), name="round.cfg"))
+        # repr, not ==: NaN != NaN, yet a NaN field must round-trip as well
+        assert repr(again) == repr(cfg)
+        try:
+            cfg.resolve()
+        except ConfigError:
+            pass
+
 
 class TestCmdRun:
     def test_smoke_creates_files(self, tmp_path):
@@ -163,23 +232,25 @@ class TestCmdRun:
         # dt is inf) died in round() with an OverflowError traceback; run in a
         # child so a regression fails on the timeout instead of hanging here
         out = tmp_path / "o"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
-        )
-        proc = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import sys; from hopsim.cli import main; sys.exit(main(sys.argv[1:]))",
-                "run", "--preset", "physical-force", "--hops", "1",
-                "--dt", dt, "--out", str(out),
-            ],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_cli_in_child([
+            "run", "--preset", "physical-force", "--hops", "1",
+            "--dt", dt, "--out", str(out),
+        ])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: dt=")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (out / "run.csv").exists()
+
+    def test_huge_control_rate_rejected_quickly(self, tmp_path):
+        # a 1e-20 s tick stops advancing the clock near t = 1.2e-4 s, so the
+        # run never reached its 30 s guard
+        cfg = write(tmp_path, "[run]\npreset = physical-force\ncontrol_rate = 1e20\nhops = 1\n")
+        out = tmp_path / "o"
+        proc = run_cli_in_child(["run", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: control_rate=1e+20 ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_substep_bound_is_inclusive(self):
         period = 1.0 / 4000.0
@@ -323,9 +394,9 @@ class TestCmdCompare:
         calls = []
         inner = cli.summarize
 
-        def counting(result):
+        def counting(result, *args):
             calls.append(result.setup.controller)
-            return inner(result)
+            return inner(result, *args)
 
         monkeypatch.setattr(cli, "summarize", counting)
         code = main([

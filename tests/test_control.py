@@ -198,13 +198,13 @@ class TestControllerSteps:
         assert g.k_p == pytest.approx(MOTOR.R * MOTOR.tau_max / 0.35, rel=1e-12)
         assert g.k_d == pytest.approx(0.02 * g.k_p, rel=1e-12)
 
-    def test_module_level_step_functions(self, bundle_physical):
+    def test_controller_commands_within_envelope(self, bundle_physical):
         b = bundle_physical
         state = sim.initial_state(
             sim.RunSetup(bundle=b, controller="force", hops=1)
         )
-        cmd_f = control.force_control_step(state, b.params, b.geometry, b.gains, b.motor)
-        cmd_p = control.position_control_step(state, b.params, b.geometry, motor=b.motor)
+        cmd_f = control.ForceController(b.params, b.geometry, b.motor, b.gains).command(state)
+        cmd_p = control.PositionController(b.params, b.geometry, b.motor).command(state)
         for cmd in (cmd_f, cmd_p):
             assert abs(cmd.knee.tau_des) <= cmd.knee.tau_sat
             assert abs(cmd.hip.tau_des) <= cmd.hip.tau_sat

@@ -1,14 +1,16 @@
 """Byte-identity gate for the controller, the plant and the output layer.
 
-Pinned digests: ``run.csv`` of single runs, and every file of a plotted
-force-vs-position comparison.  Bitwise oracles: the leg-terms kernel, the
+Pinned digests: ``run.csv`` of single runs, every file of a plotted
+force-vs-position comparison and of the other CLI cases, and
+``RunConfig.to_text``.  Bitwise oracles: the leg-terms kernel, the
 AOR lookup, the CSV row format, the SVG polyline, the trajectory cycle, the
 leg kinematics and the envelope command, each against a verbatim copy of the
 code it replaced.
 
 The run.csv digests were taken before the plant's inner loop was rebuilt to
 evaluate each leg configuration once; the comparison digests before the
-output layer lost its per-element overhead.  A change that is meant to alter
+output layer lost its per-element overhead; the other CLI and ``to_text``
+digests before the CLI was derived from the dataclasses.  A change that is meant to alter
 any output file must regenerate them on purpose and say so.
 """
 
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopsim import analytic, control, kinematics, model, sim, svg
-from hopsim.cli import main
+from hopsim.cli import main, parse_config
 from hopsim.errors import UnreachableLengthError
 from hopsim.kinematics import LegJacobian
 from hopsim.metrics import AorCurve, aor_curve
@@ -138,12 +140,106 @@ def test_compare_output_digests(tmp_path):
         "--hops", "1", "--plots", "--out", str(out),
     ]
     assert main(argv) == 0
-    written = {
+    assert tree_digests(out) == COMPARE_GOLDEN
+
+
+def tree_digests(out):
+    """Path under ``out`` -> sha256 of every file written there."""
+    return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in out.rglob("*")
         if path.is_file()
     }
-    assert written == COMPARE_GOLDEN
+
+
+# The config file that "{cfg}" names below: only side b of that compare plots.
+PLOTTING_B_CONFIG = "[run]\npreset = physical-position\nplots = true\n"
+
+# argv before --out -> path under --out -> sha256 of each file written, for
+# the other subcommands, a compare whose side a aborts (paper-literal-force
+# never reaches its trajectory) and a compare where only one side plots
+CLI_GOLDEN = {
+    "traj --preset physical-force --plots": {
+        "traj.csv": "dd7341aa811ded2046d2114c3a1dc4461370ba0bb72c20fc639712b4f9794016",
+        "traj.svg": "ad1f1a235938eb6849a4aa5a6ca100c8f005a3af0fa6e694a25a7ab261de515a",
+    },
+    "aor --preset physical-force --plots": {
+        "aor.csv": "6a1e95af12493d5d2623c8330dc27645be9f07588d76b8e8a7e7f6a9ecf56257",
+        "aor.svg": "1c637b031eb759a55fa8455d300f4a34b66626a9239be9358fa340c528759790",
+    },
+    "run --preset physical-position --hops 2 --plots": {
+        "aor.svg": "9e6b4b3d383ef3dddc21e144a925c7ffe902335916e0ecfe6a21e7b90dcbb042",
+        "foot.svg": "9aa84a001798e1c684dee88a62f1e0c245513d774e92d2afddf7e367721a7e88",
+        "run.csv": "643bb41e4415272592243c7491919be3b813537d22d59d16ac16f7b053e66231",
+        "status.txt": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        "summary.csv": "d724e8706a37f84a6c41cf434a52aa329db6aedae4c39fc503b99fceea07e1f7",
+    },
+    "compare --preset paper-literal-force --preset physical-force --hops 1 --plots": {
+        "a-force/aor.svg": "8d9a60a4d5747d75797b00c49910addd04e616d5de531c2f0e7e9b6236a1b109",
+        "a-force/foot.svg": "63b715fc7857b36d673565fce24cdb325dce8a9c4fa1e045969933af40950f15",
+        "a-force/run.csv": "b03a7b356c259aff3f479f999a058c1fcb074cde488b06bc04cd9dd50d2e113b",
+        "a-force/status.txt": "95d57124742dd3ddd5123f2b4c0c8cb23b3f61e6f7d1f706bc18ed036ac8944b",
+        "a-force/summary.csv": "c89006ecb4f2e9de9e835b2564c46f7049945238ed9cdb943a1d1b0730432ab8",
+        "b-force/aor.svg": "625dbf2f524af0ecf320be56b7a9ec42da90ba90d7b60891d1c379ed30e853a0",
+        "b-force/foot.svg": "2c40468369b20953576553e144900febc78a6d17365ac57fa82115fb0679e157",
+        "b-force/run.csv": "e77a3777cdff9431a95a58c0143edcfcdbf82710542e62d6b9e7176864059e87",
+        "b-force/status.txt": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        "b-force/summary.csv": "f5ef972bd820cbd48ecd0b7e25916754d893776d25884ba359f8b7e41a4a320a",
+        "c_act.svg": "310fbcc29f576fd13ee1d64a1e3296f8ec3c7e66e77126b9ffb68a7f4088371d",
+        "compare.csv": "96cc36b70ae93da0a208b97e62a87f4161a87bf2da4402dee8b54688b8a935d8",
+        "compare.txt": "f83810c8fb7a10ca40de1e8fa32aef0d595eab52a3056d43684fcd32bccebf0b",
+        "foot_height.svg": "274573c3db9af0b2dc55f30c8066f4ff0c143aaf6c3df998d5ec2134fda763da",
+        "trace_aor.svg": "02c32c866c0ac6bf516b277ebe0a850753baa4678b45238bec2d36e1a4d3e065",
+    },
+    "compare --preset physical-force --config {cfg} --hops 1": {
+        "a-force/run.csv": "e77a3777cdff9431a95a58c0143edcfcdbf82710542e62d6b9e7176864059e87",
+        "a-force/status.txt": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        "a-force/summary.csv": "f5ef972bd820cbd48ecd0b7e25916754d893776d25884ba359f8b7e41a4a320a",
+        "b-position/aor.svg": "ca1a5ae7a543a135f2452ec50ac96a106bd4fffa8388edbc99bcef88ef6b5648",
+        "b-position/foot.svg": "918cbc1fcbbd93fba8959b5cad073f2e2672dc3726097e02adeccd1958d7e0e5",
+        "b-position/run.csv": "087cef4c19cb9c2623980fec8163bf37f0bf2a73c10aa6e097b51c672b3b97c1",
+        "b-position/status.txt": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        "b-position/summary.csv": "0dd9b462e04972f12eb16a06a81df711e534e1eb6b546f57d53d5cbd8561074f",
+        "c_act.svg": "d5c76a8dc17865bdc1a76f4df6e629f86bceb743d97d3cdc328a41f8fee657f5",
+        "compare.csv": "bb10f6b4544b6d97f8467a103cdad300ead237aaf86e5e3cbb3d458b359ba4a9",
+        "compare.txt": "8e4fa068ccfff9c91bba7ed659d0ce3b63c3f11eb97b370c37cd24b7f23ae8b7",
+        "foot_height.svg": "b54961299778169b5dcc02f55cec1e5c294f2aeeda30f890a447a15b97c9a2ea",
+        "trace_aor.svg": "bee8eaaf9fce87f10814cd89721595df3d0f75472d497918a3951032c974201c",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_cli_output_digests(tmp_path, capsys, command):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(PLOTTING_B_CONFIG)
+    out = tmp_path / "out"
+    argv = [str(cfg) if arg == "{cfg}" else arg for arg in command.split()]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert tree_digests(out) == CLI_GOLDEN[command]
+    # compare prints its report; the other subcommands print nothing
+    report = out / "compare.txt"
+    assert capsys.readouterr().out == (report.read_text() if report.exists() else "")
+
+
+# config file text -> sha256 of RunConfig.to_text() of the parsed config
+TO_TEXT_GOLDEN = {
+    "[run]\npreset = paper-literal-force\n": "17cac3d6d5bc5a94ea7d9514e3cf3fffe6608bed960925d64b3204f55a1b23fa",
+    "[run]\npreset = paper-literal-position\n": "8a8df147e9920c7c5d687143ff7d26f99307cb8153f94ed6c028f0937ad453a7",
+    "[run]\npreset = physical-force\n": "0edf48e9aaa3979fa041a1f494d016ff15a81fa827b626e3474866d7b35755d3",
+    "[run]\npreset = physical-position\n": "b5792c097b4eda1d7565ebd72763e7e56cc1e0d61d286489d5c5732c8f21cc64",
+    "[run]\nduration = 0.5\nout = o\n[hopper]\nm = 3.0\n[gains]\nk_d = 2\n": (
+        "9ab1affc9e842fe8da66f040528202eddd52fa5cd7b232d5429a5c0fbedeb277"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(TO_TEXT_GOLDEN))
+def test_to_text_digest(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    digest = hashlib.sha256(parse_config(path).to_text().encode()).hexdigest()
+    assert digest == TO_TEXT_GOLDEN[text]
 
 
 # --- AOR lookup ---------------------------------------------------------------

@@ -251,8 +251,10 @@ class TestTrace:
         self, force_run_1hop, position_run_1hop, bundle_physical
     ):
         curve = aor_curve(bundle_physical.motor, 256)
-        gap_force = metrics.trace_mean_gap(force_run_1hop.log, curve)
-        gap_position = metrics.trace_mean_gap(position_run_1hop.log, curve)
+        trace_force = metrics.speed_torque_trace(force_run_1hop.log)
+        trace_position = metrics.speed_torque_trace(position_run_1hop.log)
+        gap_force = metrics.trace_mean_gap(trace_force, curve)
+        gap_position = metrics.trace_mean_gap(trace_position, curve)
         assert gap_force < gap_position
 
 

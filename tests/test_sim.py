@@ -226,6 +226,10 @@ class TestRun:
             {"hops": None, "duration": math.nan},
             {"hops": None, "duration": math.inf},
             {"hops": None, "duration": -1.0},
+            # a substep too short to move the clock at the end time
+            {"control_rate": 1e20},
+            {"hops": None, "duration": 1e20},
+            {"controller": "nope"},
         ],
     )
     def test_rejects_bad_run_knobs(self, bundle_physical, knobs):
@@ -234,6 +238,10 @@ class TestRun:
             setattr(setup, name, value)
         with pytest.raises(ValueError):
             sim.run(setup)
+
+    def test_huge_control_rate_runs_while_the_clock_advances(self, bundle_physical):
+        setup = RunSetup(bundle=bundle_physical, duration=0.0, control_rate=1e20)
+        assert sim.run(setup).ok
 
     def test_hop_target_counted_without_rescanning_events(self, bundle_physical, monkeypatch):
         scans = []
