@@ -81,9 +81,7 @@ from .sim import (
     SimState,
     TelemetryLog,
     TwoMassReference,
-    detect_transition,
     run,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -426,8 +426,14 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
 
 def cmd_traj(config: RunConfig) -> int:
     """Sample the desired trajectory over one hop period to CSV."""
-    cycle = analytic.TrajectoryCycle(config.validated().params)
-    step = 1.0 / config.control_rate
+    setup = config.resolve()
+    cycle = analytic.TrajectoryCycle(setup.bundle.params)
+    if not cycle.period * setup.control_rate <= sim.MAX_TICKS:
+        raise ConfigError(
+            f"control_rate={setup.control_rate!r} asks for more than {sim.MAX_TICKS} "
+            f"trajectory rows in one {cycle.period!r} s period"
+        )
+    step = 1.0 / setup.control_rate
     n = int(cycle.period / step)
     lines = ["t,y_des,phase"]
     for i in range(n + 1):

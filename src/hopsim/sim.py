@@ -7,16 +7,17 @@ task-space force, both under gravity.  Phase transitions are detected by
 sign crossings (stance pin force for lift-off, foot height for touchdown),
 located by linear interpolation within a step.
 
-Both the run loop and :func:`step` go through one substep core,
-:func:`_substep`, which evaluates each distinct leg configuration once.  The
-force evaluated at the state after a substep is that step's post-step pin
-force and the next substep's stage-1 force and pre-step pin force; the last
-evaluation of a tick also gives the joint state recorded for it, and its leg
-terms carry into the next tick, whose first force differs only in the held
-torques.  Only the stage 2-4 states of each RK4 step, the state after an
-event, and the start state of a run or of a lone :func:`step` are evaluated
-afresh.  The reuse changes no floating-point operation, so telemetry is
-byte-identical to evaluating every configuration each time it is needed.
+:func:`_advance_tick` is the one place that steps the plant and locates
+events: each control tick runs its substeps through :func:`_substep`, which
+evaluates each distinct leg configuration once.  The force evaluated at the
+state after a substep is that step's post-step pin force and the next
+substep's stage-1 force and pre-step pin force; the last evaluation of a
+tick also gives the joint state recorded for it, and its leg terms carry
+into the next tick, whose first force differs only in the held torques.
+Only the stage 2-4 states of each RK4 step, the state after an event, and
+the start state of a run are evaluated afresh.  The reuse changes no
+floating-point operation, so telemetry is byte-identical to evaluating every
+configuration each time it is needed.
 
 The module also provides :class:`TwoMassReference`, an RK4-plus-events
 integration of the ideal two-mass model itself (the dynamics the closed-form
@@ -38,13 +39,13 @@ from .model import (
     HopperParams,
     HopPhase,
     LegGeometry,
-    MotorParams,
     ValidatedBundle,
 )
 
 CONTACT_EPSILON = 1e-9  # touchdown height threshold, m
 _MAX_EVENTS_PER_STEP = 4
 MAX_SUBSTEPS_PER_TICK = 10_000  # largest control period / dt a run accepts
+MAX_TICKS = 10_000_000  # most control ticks a run may ask for
 CONTROLLERS = ("force", "position", "spring")  # the names RunSetup.controller takes
 
 
@@ -115,8 +116,6 @@ class SimState:
     y_foot: float
     v_foot: float
     joints: kinematics.JointState
-    last_cmd: control.JointCommands | None = None
-    pin_force: float = 0.0
 
 
 @dataclass
@@ -213,13 +212,12 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
     return yb, vb, yf, vf
 
 
-ForceLaw = Callable[[float, float], float]  # (y_rel, v_rel) -> task force, N
 # (y_rel, v_rel[, leg terms at y_rel]) -> (task force, leg terms or None)
 PlantLaw = Callable[..., tuple[float, tuple | None]]
 
 
 def _plant_law(
-    cmd: control.JointCommands | None, law: ForceLaw | None, geo: LegGeometry
+    cmd: control.JointCommands, law: Callable[[float, float], float] | None, geo: LegGeometry
 ) -> PlantLaw:
     """The plant's force evaluation: (y_rel, v_rel) -> (task force, leg terms).
 
@@ -231,8 +229,7 @@ def _plant_law(
     """
     if law is not None:
         return lambda y_rel, v_rel, terms=None: (law(y_rel, v_rel), None)
-    tau_h = cmd.hip.tau_des if cmd is not None else 0.0
-    tau_k = cmd.knee.tau_des if cmd is not None else 0.0
+    tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
 
     def held(y_rel, v_rel, terms=None):
         if terms is None:
@@ -319,44 +316,7 @@ def _substep(phase, yb, vb, yf, vf, f, t, dt, p: HopperParams, geo: LegGeometry,
     return nyb, nvb, nyf, nvf, nf, terms
 
 
-def _state_at(t, phase, yb, vb, yf, vf, f, terms, cmd, p: HopperParams, geo: LegGeometry) -> SimState:
-    """SimState at the end of a step, from the force evaluation made there."""
-    if terms is None:
-        terms = _leg_terms(yb - yf, geo)
-    pin_force = p.m_e * p.g + f if phase is HopPhase.STANCE else 0.0
-    return SimState(t, phase, yb, vb, yf, vf, _joints_from(terms, vb - vf, geo), cmd, pin_force)
-
-
-def step(
-    state: SimState,
-    cmd: control.JointCommands | None,
-    dt: float,
-    p: HopperParams,
-    geo: LegGeometry,
-    force_law: ForceLaw | None = None,
-) -> SimState:
-    """One RK4 substep of the active phase's dynamics under held torques.
-
-    Passing ``force_law`` instead evaluates a continuous task-force law at
-    every integrator stage (used by the ideal-spring oracle, which has no
-    zero-order hold).  Transition detection is separate; see
-    :func:`detect_transition`.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    law = _plant_law(cmd, force_law, geo)
-    yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
-    f, _ = law(yb - yf, vb - vf)
-    yb, vb, yf, vf, f, terms = _substep(state.phase, yb, vb, yf, vf, f, state.t, dt, p, geo, law)
-    return _state_at(state.t + dt, state.phase, yb, vb, yf, vf, f, terms, cmd, p, geo)
-
-
 # --- event detection -------------------------------------------------------
-
-
-class Transition(NamedTuple):
-    kind: str   # "lift" or "landing"
-    frac: float  # fraction of the step at which the crossing occurs
 
 
 def _crossing(
@@ -367,10 +327,12 @@ def _crossing(
     next_yf: float,
     prev_vf: float,
     next_vf: float,
-) -> Transition | None:
-    """Shared crossing logic for both the run loop and detect_transition.
+) -> tuple[str, float] | None:
+    """The phase event within one step, as ("lift" or "landing", fraction).
 
-    In stance, lift-off fires when the pin (ground constraint) force crosses
+    The fraction of the step at which the crossing occurs locates the event
+    by linear interpolation; :func:`_advance_tick` is the only caller.  In
+    stance, lift-off fires when the pin (ground constraint) force crosses
     zero from above; a nonpositive force at both ends unpins immediately.
     In flight, landing fires when the foot height crosses zero from above
     with downward velocity.  The two cannot fire in the same phase; if a
@@ -379,44 +341,20 @@ def _crossing(
     """
     if phase is HopPhase.STANCE:
         if prev_pin > 0.0 and next_pin <= 0.0:
-            return Transition("lift", prev_pin / (prev_pin - next_pin))
+            return "lift", prev_pin / (prev_pin - next_pin)
         if prev_pin <= 0.0 and next_pin <= 0.0:
-            return Transition("lift", 0.0)
+            return "lift", 0.0
         return None
     if prev_yf > CONTACT_EPSILON and next_yf <= CONTACT_EPSILON:
         frac = prev_yf / (prev_yf - next_yf) if prev_yf != next_yf else 0.0
         v_at = prev_vf + frac * (next_vf - prev_vf)
         if v_at < 0.0:
-            return Transition("landing", frac)
+            return "landing", frac
     elif prev_yf <= CONTACT_EPSILON and next_vf < 0.0:
         # Foot at or below contact level being driven down (a lift that was
         # immediately reversed): re-pin right away.
-        return Transition("landing", 0.0)
+        return "landing", 0.0
     return None
-
-
-def detect_transition(prev: SimState, next_state: SimState, p: HopperParams) -> Event | None:
-    """Phase-switch event between two consecutive states, if any.
-
-    The event time is located by linear interpolation within the step.  For
-    the ideal-spring command the stance pin-force zero coincides with the
-    analytic lift condition on the leg length.
-    """
-    tr = _crossing(
-        prev.phase,
-        prev.pin_force,
-        next_state.pin_force,
-        prev.y_foot,
-        next_state.y_foot,
-        prev.v_foot,
-        next_state.v_foot,
-    )
-    if tr is None:
-        return None
-    t = prev.t + tr.frac * (next_state.t - prev.t)
-    y = prev.y_body + tr.frac * (next_state.y_body - prev.y_body)
-    v = prev.v_body + tr.frac * (next_state.v_body - prev.v_body)
-    return Event(tr.kind, t, y, v)
 
 
 # --- run loop ---------------------------------------------------------------
@@ -450,7 +388,6 @@ def initial_state(setup: RunSetup) -> SimState:
         y_foot=0.0,
         v_foot=0.0,
         joints=joint_state_for(y0, 0.0, geo),
-        pin_force=p.m_e * p.g,
     )
 
 
@@ -466,13 +403,6 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
         hip_dyn, knee_dyn, hip_des, knee_des, hip_sat, knee_sat,
         saturation_ratio(hip_des, hip_sat), saturation_ratio(knee_des, knee_sat),
     )
-
-
-def _substeps(setup: RunSetup) -> tuple[float, int, float]:
-    """The control period, the substeps per tick and the substep length."""
-    period = 1.0 / setup.control_rate
-    n_sub = max(1, round(period / setup.dt))
-    return period, n_sub, period / n_sub
 
 
 def _end_time(setup: RunSetup) -> float:
@@ -500,13 +430,13 @@ def check_setup(setup: RunSetup) -> None:
         raise ValueError("duration must be non-negative and finite")
     if setup.hops is not None and setup.hops < 1:
         raise ValueError("hops must be at least 1")
-    # a substep too short to change t_end when added to it stalls the clock
-    # short of t_end, and the run never ends
-    t_end, dt_sub = _end_time(setup), _substeps(setup)[2]
-    if t_end + dt_sub == t_end:
+    # The tick bound also keeps the clock moving: a substep is then at least
+    # t_end / (MAX_TICKS * MAX_SUBSTEPS_PER_TICK), so adding it changes t_end.
+    t_end = _end_time(setup)
+    if not t_end * setup.control_rate <= MAX_TICKS:
         raise ValueError(
-            f"control_rate={setup.control_rate!r} gives a substep of {dt_sub!r} s, "
-            f"too short to advance the clock at t={t_end!r} s"
+            f"control_rate={setup.control_rate!r} asks for more than {MAX_TICKS} "
+            f"control ticks in {t_end!r} s"
         )
 
 
@@ -523,7 +453,9 @@ def run(setup: RunSetup) -> RunResult:
 
     b = setup.bundle
     p, geo = b.params, b.geometry
-    period, n_sub, dt_sub = _substeps(setup)
+    period = 1.0 / setup.control_rate
+    n_sub = max(1, round(period / setup.dt))
+    dt_sub = period / n_sub
     controller = _build_controller(setup)
     spring_law = controller.force_law if setup.controller == "spring" else None
 
@@ -555,7 +487,7 @@ def run(setup: RunSetup) -> RunResult:
         law = _plant_law(cmd, spring_law, geo)
         try:
             state, landed, terms = _advance_tick(
-                state, cmd, law, terms, dt_sub, n_sub, p, geo, log, controller
+                state, law, terms, dt_sub, n_sub, p, geo, log, controller
             )
         except SimulationAbort as exc:
             return abort(str(exc))
@@ -575,14 +507,15 @@ def run(setup: RunSetup) -> RunResult:
     return RunResult(log, "ok", setup)
 
 
-def _advance_tick(state, cmd, law, terms, dt_sub, n_sub, p, geo, log, controller):
+def _advance_tick(state, law, terms, dt_sub, n_sub, p, geo, log, controller):
     """Integrate one control tick of ``n_sub`` substeps under held commands.
 
     ``terms`` are the leg terms at ``state`` if the caller holds them (the
     last tick ended there), else None.  Phase events found inside a substep
-    are appended to ``log.events``.  Returns the state at the end of the
-    tick, the number of landings among those events, and the leg terms at
-    the end state (None under a continuous force law).
+    are appended to ``log.events`` and reported to ``controller`` through
+    ``on_touchdown(y_body, v_body)`` and ``on_liftoff()``.  Returns the state
+    at the end of the tick, the number of landings among those events, and
+    the leg terms at the end state (None under a continuous force law).
     """
     t, phase = state.t, state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
@@ -610,10 +543,10 @@ def _advance_tick(state, cmd, law, terms, dt_sub, n_sub, p, geo, log, controller
             # chattering contact is capped per substep; the remainder is then
             # integrated without further event checks.
             events_seen += 1
-            frac = tr.frac
+            kind, frac = tr
             t_ev = t + frac * dt_left
             yb, vb = yb + frac * (nyb - yb), vb + frac * (nvb - vb)
-            if tr.kind == "landing":
+            if kind == "landing":
                 yf, vf = 0.0, 0.0  # plastic contact: foot kinetic energy lost
                 phase = HopPhase.STANCE
                 controller.on_touchdown(yb, vb)
@@ -622,12 +555,13 @@ def _advance_tick(state, cmd, law, terms, dt_sub, n_sub, p, geo, log, controller
                 yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
                 phase = HopPhase.FLIGHT
                 controller.on_liftoff()
-            log.events.append(Event(tr.kind, t_ev, yb, vb))
+            log.events.append(Event(kind, t_ev, yb, vb))
             dt_left -= frac * dt_left
             t = t_ev
             f, terms = law(yb - yf, vb - vf)
 
-    return _state_at(t, phase, yb, vb, yf, vf, f, terms, cmd, p, geo), landings, terms
+    joints = _joints_from(terms if terms is not None else _leg_terms(yb - yf, geo), vb - vf, geo)
+    return SimState(t, phase, yb, vb, yf, vf, joints), landings, terms
 
 
 # --- two-mass model reference integration ----------------------------------

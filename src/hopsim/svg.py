@@ -36,6 +36,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / (n - 1)
+    if raw < 1e-300:  # near-subnormal spacing: its powers of ten lose precision or vanish
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

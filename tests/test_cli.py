@@ -218,13 +218,25 @@ class TestCmdRun:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
-    def test_bad_control_rate_rejected(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize(
+        ("command", "value"),
+        # the run cases keep their ids: nan, inf, 0
+        [
+            pytest.param(command, value, id=value if command == "run" else f"{command}-{value}")
+            for command in ("run", "traj")
+            for value in ("nan", "inf", "0")
+        ],
+    )
+    def test_bad_control_rate_rejected(self, tmp_path, capsys, command, value):
+        # traj with 0 died of a ZeroDivisionError and with nan of a ValueError
         cfg = write(tmp_path, f"[run]\npreset = physical-force\ncontrol_rate = {value}\n")
-        code = main(["run", "--config", str(cfg), "--hops", "1", "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main([command, "--config", str(cfg), "--hops", "1", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "control_rate" in err and len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and "control_rate" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["1e-300", "1e-320"])
     def test_tiny_dt_rejected_quickly(self, tmp_path, dt):
@@ -249,6 +261,25 @@ class TestCmdRun:
         proc = run_cli_in_child(["run", "--config", str(cfg), "--out", str(out)])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: control_rate=1e+20 ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "knob", "what"),
+        [("run", "hops = 1", "control ticks"), ("traj", "duration = 0", "trajectory rows")],
+    )
+    def test_too_many_ticks_rejected_quickly(self, tmp_path, command, knob, what):
+        # a 1e-12 s tick still moves the clock at the 30 s guard, but the run
+        # asked for up to 3e13 ticks and was killed on a timeout; duration = 0
+        # lets the rate through the run checks, and traj would still write
+        # one row per tick of its period
+        cfg = write(tmp_path, f"[run]\npreset = physical-force\ncontrol_rate = 1e12\n{knob}\n")
+        out = tmp_path / "o"
+        proc = run_cli_in_child([command, "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: control_rate={1e12!r} asks for more than {sim.MAX_TICKS} {what} "
+        )
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 

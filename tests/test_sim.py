@@ -9,42 +9,60 @@ from hopsim.sim import RunSetup, SimState
 from conftest import ORACLE_MOTOR
 
 
-def make_state(phase, y_body, v_body, y_foot, v_foot, t=0.0, pin=0.0):
+def make_state(phase, y_body, v_body, y_foot, v_foot):
     from hopsim.model import LegGeometry
 
     geo = LegGeometry()
     return SimState(
-        t=t,
+        t=0.0,
         phase=phase,
         y_body=y_body,
         v_body=v_body,
         y_foot=y_foot,
         v_foot=v_foot,
         joints=sim.joint_state_for(y_body - y_foot, v_body - v_foot, geo),
-        pin_force=pin,
     )
+
+
+ZERO_TORQUE = control.JointCommands(
+    hip=control.TorqueCommand(0.0, 35.0, 0.0),
+    knee=control.TorqueCommand(0.0, 35.0, 0.0),
+)
+
+
+class NoReaction:
+    """Stands in for the controller: phase events change no command here."""
+
+    def on_touchdown(self, y_body, v_body):
+        pass
+
+    def on_liftoff(self):
+        pass
+
+
+def advance(state, n_sub, dt, bundle, force_law=None):
+    """``n_sub`` plant substeps under zero held torques (or a continuous
+    ``force_law``) through the run loop's tick; returns the state and log."""
+    geo = bundle.geometry
+    law = sim._plant_law(ZERO_TORQUE, force_law, geo)
+    log = sim.TelemetryLog()
+    state, _, _ = sim._advance_tick(
+        state, law, None, dt, n_sub, bundle.params, geo, log, NoReaction()
+    )
+    return state, log
 
 
 class TestStep:
     def test_free_fall_velocity_exact(self, bundle_physical):
         b = bundle_physical
-        zero = control.JointCommands(
-            hip=control.TorqueCommand(0.0, 35.0, 0.0),
-            knee=control.TorqueCommand(0.0, 35.0, 0.0),
-        )
         state = make_state(HopPhase.FLIGHT, 0.9, 0.0, 0.45, 0.0)
         dt = 2.5e-4
         n = 40
-        for _ in range(n):
-            state = sim.step(state, zero, dt, b.params, b.geometry)
+        state, log = advance(state, n, dt, b)
+        assert not log.events
+        assert state.t == pytest.approx(n * dt, rel=1e-12)
         assert state.v_body == pytest.approx(-b.params.g * n * dt, abs=1e-12)
         assert state.v_foot == pytest.approx(-b.params.g * n * dt, abs=1e-12)
-
-    def test_rejects_nonpositive_dt(self, bundle_physical):
-        b = bundle_physical
-        state = make_state(HopPhase.FLIGHT, 0.9, 0.0, 0.45, 0.0)
-        with pytest.raises(ValueError):
-            sim.step(state, None, 0.0, b.params, b.geometry)
 
     def test_spring_stance_matches_closed_form(self, bundle_oracle):
         # ideal-spring law integrated at dt=1e-4 over one analytic stance
@@ -92,34 +110,24 @@ class TestStep:
 
 
 class TestDetectTransition:
-    def test_landing_interpolated_at_half(self, bundle_physical):
-        p = bundle_physical.params
-        prev = make_state(HopPhase.FLIGHT, 0.7, -1.0, 0.001, -1.0, t=0.0)
-        nxt = make_state(HopPhase.FLIGHT, 0.6995, -1.0, -0.001, -1.0, t=5e-4)
-        ev = sim.detect_transition(prev, nxt, p)
-        assert ev is not None and ev.kind == "landing"
-        assert ev.t == pytest.approx(2.5e-4, rel=1e-12)
+    # sim._crossing(phase, pin forces before/after, foot heights, foot rates)
 
-    def test_no_event_without_crossing(self, bundle_physical):
-        p = bundle_physical.params
-        prev = make_state(HopPhase.FLIGHT, 0.7, 1.0, 0.01, 1.0, t=0.0)
-        nxt = make_state(HopPhase.FLIGHT, 0.70025, 1.0, 0.01025, 1.0, t=2.5e-4)
-        assert sim.detect_transition(prev, nxt, p) is None
+    def test_landing_interpolated_at_half(self):
+        kind, frac = sim._crossing(HopPhase.FLIGHT, 0.0, 0.0, 0.001, -0.001, -1.0, -1.0)
+        assert kind == "landing"
+        assert frac * 5e-4 == pytest.approx(2.5e-4, rel=1e-12)
 
-    def test_no_landing_when_foot_moving_up(self, bundle_physical):
-        p = bundle_physical.params
-        prev = make_state(HopPhase.FLIGHT, 0.7, 1.0, 0.001, 1.0, t=0.0)
-        nxt = make_state(HopPhase.FLIGHT, 0.7, 1.0, -0.001, 1.0, t=2.5e-4)
+    def test_no_event_without_crossing(self):
+        assert sim._crossing(HopPhase.FLIGHT, 0.0, 0.0, 0.01, 0.01025, 1.0, 1.0) is None
+
+    def test_no_landing_when_foot_moving_up(self):
         # height crossed but velocity interpolates positive: no event
-        assert sim.detect_transition(prev, nxt, p) is None
+        assert sim._crossing(HopPhase.FLIGHT, 0.0, 0.0, 0.001, -0.001, 1.0, 1.0) is None
 
-    def test_lift_on_pin_force_zero_crossing(self, bundle_physical):
-        p = bundle_physical.params
-        prev = make_state(HopPhase.STANCE, 0.45, 1.0, 0.0, 0.0, t=0.0, pin=4.0)
-        nxt = make_state(HopPhase.STANCE, 0.4505, 1.0, 0.0, 0.0, t=5e-4, pin=-4.0)
-        ev = sim.detect_transition(prev, nxt, p)
-        assert ev is not None and ev.kind == "lift"
-        assert ev.t == pytest.approx(2.5e-4, rel=1e-12)
+    def test_lift_on_ground_force_zero_crossing(self):
+        kind, frac = sim._crossing(HopPhase.STANCE, 4.0, -4.0, 0.0, 0.0, 0.0, 0.0)
+        assert kind == "lift"
+        assert frac * 5e-4 == pytest.approx(2.5e-4, rel=1e-12)
 
     def test_reference_lift_emitted_once_per_stance(self, physical):
         ref = sim.TwoMassReference(physical).run(hops=2)
@@ -139,18 +147,14 @@ class TestPinForceLiftEquivalence:
         p = b.params
         law = lambda y_rel, v_rel: p.k_s * (p.y_s_neu - y_rel)
         state = make_state(HopPhase.STANCE, analytic.stance_position(0.0, p), 0.0, 0.0, 0.0)
-        state.pin_force = p.m_e * p.g + law(state.y_body, 0.0)
-        dt = 1e-5
-        event = None
+        # one substep per call, so the loop stops on the first event
         for _ in range(40000):
-            nxt = sim.step(state, None, dt, p, b.geometry, force_law=law)
-            event = sim.detect_transition(state, nxt, p)
-            if event is not None:
+            state, log = advance(state, 1, 1e-5, b, force_law=law)
+            if log.events:
                 break
-            state = nxt
-        assert event is not None and event.kind == "lift"
+        assert [e.kind for e in log.events] == ["lift"]
         y_lift = p.m_e * p.g / p.k_s + p.y_s_neu
-        assert event.y_body == pytest.approx(y_lift, abs=1e-6)
+        assert log.events[0].y_body == pytest.approx(y_lift, abs=1e-6)
 
 
 class TestTwoMassReference:
@@ -230,6 +234,11 @@ class TestRun:
             {"control_rate": 1e20},
             {"hops": None, "duration": 1e20},
             {"controller": "nope"},
+            {"dt": 0.0},
+            {"dt": -1.0},
+            # more than MAX_TICKS control ticks: 3e13 at 1e12 Hz over the 30 s guard
+            {"control_rate": 1e12},
+            {"hops": None, "duration": 1e7},
         ],
     )
     def test_rejects_bad_run_knobs(self, bundle_physical, knobs):
@@ -328,12 +337,8 @@ class TestLegStops:
         lo = b.geometry.constants.y_lo
         # masses closing at high speed right above the fold limit
         state = make_state(HopPhase.FLIGHT, 0.5 + lo, -5.0, 0.5, 0.0)
-        zero = control.JointCommands(
-            hip=control.TorqueCommand(0.0, 35.0, 0.0),
-            knee=control.TorqueCommand(0.0, 35.0, 0.0),
-        )
-        for _ in range(20):
-            state = sim.step(state, zero, 2.5e-4, b.params, b.geometry)
+        state, log = advance(state, 20, 2.5e-4, b)
+        assert not log.events
         y_rel = state.y_body - state.y_foot
         assert y_rel >= lo - 1e-12
         # plastic stop: masses move together afterwards
@@ -343,10 +348,6 @@ class TestLegStops:
         b = bundle_physical
         lo = b.geometry.constants.y_lo
         state = make_state(HopPhase.STANCE, lo + 1e-4, -4.0, 0.0, 0.0)
-        zero = control.JointCommands(
-            hip=control.TorqueCommand(0.0, 35.0, 0.0),
-            knee=control.TorqueCommand(0.0, 35.0, 0.0),
-        )
-        for _ in range(10):
-            state = sim.step(state, zero, 2.5e-4, b.params, b.geometry)
+        state, log = advance(state, 10, 2.5e-4, b)
+        assert not log.events
         assert state.y_body >= lo - 1e-12

@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps hopsim callables by module and class attribute
 and counts calls to some of them.  A rename or a call that bypasses one of
 those attributes would leave the traced benchmark with zero counts; this
-runs the traced child on a 1-hop run so such a change fails here first.
+runs the traced child on 1-hop runs so such a change fails here first.  The
+second run is shaped like the ``fine_dt_force`` workload: ten substeps per
+tick, then the two-mass reference, whose first lift the benchmark checks.
 """
 
 import json
@@ -12,15 +14,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_child_counts_plant_calls(tmp_path):
+@pytest.mark.parametrize(
+    ("flags", "reference"),
+    [([], None), (["--dt", "2.5e-5"], {"dt": 2.5e-5, "hops": 1})],
+    ids=["run", "fine_dt_reference"],
+)
+def test_traced_child_counts_plant_calls(tmp_path, flags, reference):
     spec = {
-        "argv": ["run", "--preset", "physical-force", "--hops", "1",
+        "argv": ["run", "--preset", "physical-force", "--hops", "1", *flags,
                  "--out", str(tmp_path / "out")],
         "trace": True,
-        "reference": None,
+        "reference": reference,
         "result": str(tmp_path / "child.json"),
     }
     spec_path = tmp_path / "spec.json"
@@ -46,3 +55,7 @@ def test_traced_child_counts_plant_calls(tmp_path):
         "control.command", "control.clock",
     ):
         assert spans.get(name, [0])[0] > 0, name
+    if reference is not None:
+        assert spans.get("sim.reference", [0])[0] == 1
+        ref = result["reference"]
+        assert abs(ref["first_lift"] - ref["t_lo"]) <= 1e-6
