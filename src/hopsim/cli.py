@@ -83,8 +83,6 @@ class RunConfig:
         duration, hops = self.duration, self.hops
         if duration is None and hops is None:
             hops = 3
-        if duration is not None and hops is not None:
-            raise ConfigError("specify duration or hops, not both")
         setup = sim.RunSetup(
             bundle=bundle,
             controller=self.controller,
@@ -451,9 +449,9 @@ def cmd_traj(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_aor(config: RunConfig, n: int = 256) -> int:
+def cmd_aor(config: RunConfig) -> int:
     """Emit the admissible operating region boundary as CSV (and SVG)."""
-    curve = metrics.aor_curve(config.validated().motor, n)
+    curve = metrics.aor_curve(config.validated().motor)
     lines = ["speed,torque"]
     for s, tq in curve.points:
         lines.append(f"{s!r},{tq!r}")

@@ -80,21 +80,17 @@ def make_command(tau_dyn: float, thetad_act: float, motor: MotorParams) -> Torqu
     return TorqueCommand(tau_dyn, tau_sat, clamp(tau_dyn, tau_sat))
 
 
-def position_tracking_gains(
-    motor: MotorParams,
-    error_scale: float = 0.35,
-    velocity_time_constant: float = 0.02,
-) -> Gains:
+def position_tracking_gains(motor: MotorParams) -> Gains:
     """Tracking-servo gains scaled from the actuator envelope.
 
-    The proportional gain commands the full joint stall torque at
-    ``error_scale`` radians of error, which keeps the command below the
-    low-speed envelope for ordinary tracking errors (the servo trades torque
-    headroom for accuracy); the derivative gain weights velocity error with
-    the given time constant.
+    The proportional gain commands the full joint stall torque at 0.35 rad
+    of error, which keeps the command below the low-speed envelope for
+    ordinary tracking errors (the servo trades torque headroom for
+    accuracy); the derivative gain weights velocity error with a 0.02 s
+    time constant.
     """
-    k_p = motor.R * motor.tau_max / error_scale
-    return Gains(k_p=k_p, k_d=velocity_time_constant * k_p)
+    k_p = motor.R * motor.tau_max / 0.35
+    return Gains(k_p=k_p, k_d=0.02 * k_p)
 
 
 class _TrajectoryScheduler:
@@ -170,17 +166,11 @@ class _TrajectoryScheduler:
 class _TrajectoryController:
     """Shared machinery: desired joint targets from the trajectory cycle."""
 
-    def __init__(
-        self,
-        p: HopperParams,
-        geo: LegGeometry,
-        motor: MotorParams,
-        cycle: analytic.TrajectoryCycle | None = None,
-    ):
+    def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):
         self.params = p
         self.geometry = geo
         self.motor = motor
-        self.cycle = cycle if cycle is not None else analytic.TrajectoryCycle(p)
+        self.cycle = analytic.TrajectoryCycle(p)
         self.clock = _TrajectoryScheduler(self.cycle)
         # Desired lengths are capped at the leg stops.
         self._y_lo, self._y_hi = geo.constants.y_lo, geo.constants.y_hi
@@ -190,9 +180,6 @@ class _TrajectoryController:
 
     def on_touchdown(self, y_rel: float, v_rel: float) -> None:
         self.clock.on_touchdown(y_rel, v_rel)
-
-    def on_liftoff(self) -> None:
-        pass
 
     def joint_targets(self) -> tuple[float, float, float, float, bool]:
         """Desired (theta_hip, theta_knee, thetad_hip, thetad_knee, clamped)."""
@@ -213,8 +200,8 @@ class ForceController(_TrajectoryController):
     """Stance torque law with the envelope clamp; rides the envelope when the
     proportional gain is large."""
 
-    def __init__(self, p, geo, motor, gains: Gains, cycle=None):
-        super().__init__(p, geo, motor, cycle)
+    def __init__(self, p, geo, motor, gains: Gains):
+        super().__init__(p, geo, motor)
         self.gains = gains
 
     def command(self, state) -> JointCommands:
@@ -232,13 +219,9 @@ class ForceController(_TrajectoryController):
 class PositionController(_TrajectoryController):
     """Trajectory-tracking PD on position and velocity error, then clamped."""
 
-    def __init__(self, p, geo, motor, tracking_gains: Gains | None = None, cycle=None):
-        super().__init__(p, geo, motor, cycle)
-        self.gains = (
-            tracking_gains
-            if tracking_gains is not None
-            else position_tracking_gains(motor)
-        )
+    def __init__(self, p, geo, motor):
+        super().__init__(p, geo, motor)
+        self.gains = position_tracking_gains(motor)
 
     def command(self, state) -> JointCommands:
         th_h, th_k, thd_h, thd_k, clamped = self.joint_targets()
@@ -277,9 +260,6 @@ class VirtualSpringController:
         pass
 
     def on_touchdown(self, y_rel: float, v_rel: float) -> None:
-        pass
-
-    def on_liftoff(self) -> None:
         pass
 
     def command(self, state) -> JointCommands:

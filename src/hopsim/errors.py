@@ -52,7 +52,3 @@ class ConfigError(HopsimError, ValueError):
 
 class SimulationAbort(HopsimError, RuntimeError):
     """A run was aborted; the partial telemetry log carries a failure record."""
-
-    def __init__(self, message, log=None):
-        self.log = log
-        super().__init__(message)

@@ -13,7 +13,6 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 from .model import HopperParams, MotorParams
 
@@ -98,17 +97,17 @@ def saturation_ratio(tau_act: float, tau_sat: float) -> float:
     return abs(tau_act) / abs(tau_sat)
 
 
-def average_saturation_ratio(log, w: StanceWindow, joint: str = "knee") -> float:
-    """Trapezoidal time-average of the saturation ratio over a stance window.
+def average_saturation_ratio(log, w: StanceWindow) -> float:
+    """Trapezoidal time-average of the knee saturation ratio over a stance
+    window.
 
     Only finite samples enter the average; an empty window is an error.
     The result is invariant under uniform time reparameterization.
     """
-    c_act = attrgetter(f"c_act_{joint}")
     pts = [
-        (r.t, c_act(r))
+        (r.t, r.c_act_knee)
         for r in log.records
-        if w.t_init <= r.t <= w.t_lo and math.isfinite(c_act(r))
+        if w.t_init <= r.t <= w.t_lo and math.isfinite(r.c_act_knee)
     ]
     if len(pts) < 2:
         raise ValueError(
@@ -181,11 +180,9 @@ def first_stance_window(log) -> StanceWindow:
     return StanceWindow(log.records[0].t, lifts[0].t)
 
 
-def speed_torque_trace(log, joint: str = "knee") -> list[tuple[float, float]]:
-    """Logged (joint speed, |applied torque|) sequence over stance records."""
-    thetad = attrgetter(f"thetad_{joint}")
-    tau_des = attrgetter(f"tau_des_{joint}")
-    return [(thetad(r), abs(tau_des(r))) for r in log.records if r.phase == "stance"]
+def speed_torque_trace(log) -> list[tuple[float, float]]:
+    """Logged (knee speed, |applied knee torque|) sequence over stance records."""
+    return [(r.thetad_knee, abs(r.tau_des_knee)) for r in log.records if r.phase == "stance"]
 
 
 def aor_curve(m: MotorParams, n: int = 256) -> AorCurve:

@@ -35,7 +35,6 @@ from . import analytic, control, kinematics
 from .errors import SimulationAbort
 from .metrics import saturation_ratio
 from .model import (
-    Gains,
     HopperParams,
     HopPhase,
     LegGeometry,
@@ -46,6 +45,10 @@ CONTACT_EPSILON = 1e-9  # touchdown height threshold, m
 _MAX_EVENTS_PER_STEP = 4
 MAX_SUBSTEPS_PER_TICK = 10_000  # largest control period / dt a run accepts
 MAX_TICKS = 10_000_000  # most control ticks a run may ask for
+# Abort once more than this many ticks in total, consecutive or not, had
+# their desired length clamped into the leg's reach.
+MAX_IK_FAILURES = 100
+MAX_DURATION = 30.0  # s, guard for hop-count runs
 CONTROLLERS = ("force", "position", "spring")  # the names RunSetup.controller takes
 
 
@@ -128,11 +131,6 @@ class RunSetup:
     hops: int | None = None
     dt: float = 2.5e-4
     control_rate: float = 4000.0
-    tracking_gains: Gains | None = None
-    # Abort once more than this many ticks in total, consecutive or not, had
-    # their desired length clamped into the leg's reach.
-    max_ik_failures: int = 100
-    max_duration: float = 30.0  # guard for hop-count runs
 
 
 @dataclass
@@ -365,9 +363,7 @@ def _build_controller(setup: RunSetup):
     if setup.controller == "force":
         return control.ForceController(b.params, b.geometry, b.motor, b.gains)
     if setup.controller == "position":
-        return control.PositionController(
-            b.params, b.geometry, b.motor, setup.tracking_gains
-        )
+        return control.PositionController(b.params, b.geometry, b.motor)
     return control.VirtualSpringController(b.params, b.geometry, b.motor)
 
 
@@ -375,10 +371,8 @@ def initial_state(setup: RunSetup) -> SimState:
     """Pinned stance state at the trajectory start posture, at rest."""
     b = setup.bundle
     p, geo = b.params, b.geometry
-    if setup.controller == "spring":
-        y0 = analytic.stance_position(0.0, p)
-    else:
-        y0 = analytic.TrajectoryCycle(p).y_des(0.0)
+    # bit for bit the trajectory cycle's start, TrajectoryCycle.y_des(0.0)
+    y0 = analytic.stance_position(0.0, p)
     y0 = min(max(y0, geo.constants.y_lo), geo.constants.y_hi)
     return SimState(
         t=0.0,
@@ -406,7 +400,7 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
 
 
 def _end_time(setup: RunSetup) -> float:
-    return setup.duration if setup.duration is not None else setup.max_duration
+    return setup.duration if setup.duration is not None else MAX_DURATION
 
 
 def check_setup(setup: RunSetup) -> None:
@@ -476,11 +470,11 @@ def run(setup: RunSetup) -> RunResult:
         cmd = controller.command(state)
         if cmd.ik_clamped:
             ik_failures += 1
-            if ik_failures > setup.max_ik_failures:
+            if ik_failures > MAX_IK_FAILURES:
                 log.records.append(_record_from(state, cmd))
                 return abort(
                     f"desired trajectory unreachable on {ik_failures} ticks in total "
-                    f"(limit {setup.max_ik_failures})"
+                    f"(limit {MAX_IK_FAILURES})"
                 )
         log.records.append(_record_from(state, cmd))
 
@@ -512,8 +506,8 @@ def _advance_tick(state, law, terms, dt_sub, n_sub, p, geo, log, controller):
 
     ``terms`` are the leg terms at ``state`` if the caller holds them (the
     last tick ended there), else None.  Phase events found inside a substep
-    are appended to ``log.events`` and reported to ``controller`` through
-    ``on_touchdown(y_body, v_body)`` and ``on_liftoff()``.  Returns the state
+    are appended to ``log.events``, and a landing is reported to
+    ``controller`` through ``on_touchdown(y_body, v_body)``.  Returns the state
     at the end of the tick, the number of landings among those events, and
     the leg terms at the end state (None under a continuous force law).
     """
@@ -554,7 +548,6 @@ def _advance_tick(state, law, terms, dt_sub, n_sub, p, geo, log, controller):
             else:
                 yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
                 phase = HopPhase.FLIGHT
-                controller.on_liftoff()
             log.events.append(Event(kind, t_ev, yb, vb))
             dt_left -= frac * dt_left
             t = t_ev
@@ -631,11 +624,10 @@ class TwoMassReference:
             v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
         )
 
-    def run(self, hops: int = 2, t_max: float | None = None) -> ReferenceResult:
+    def run(self, hops: int = 2) -> ReferenceResult:
         """Integrate until ``hops`` lift events have been seen (plus margin)."""
         p = self.p
-        if t_max is None:
-            t_max = (hops + 1) * 4.0 * (analytic.hop_period(p))
+        t_max = (hops + 1) * 4.0 * (analytic.hop_period(p))
         t = 0.0
         y = p.y_s_neu - analytic.stance_amplitude(p)
         v = 0.0

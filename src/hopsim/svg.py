@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#7f7f7f")
+WIDTH, HEIGHT = 640, 420  # px
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,11 @@ def _tick_label(v: float) -> str:
     return f"{v:.3g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round-valued ticks from ``lo`` to ``hi``."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / (n - 1)
+    raw = (hi - lo) / 4
     if raw < 1e-300:  # near-subnormal spacing: its powers of ten lose precision or vanish
         return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -48,6 +50,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     t = start
     while t <= hi + 1e-12 * abs(step):
         ticks.append(0.0 if abs(t) < 1e-12 else t)
+        if t + step == t:  # a step under half an ulp of t never moves it
+            break
         t += step
     return ticks or [lo]
 
@@ -57,12 +61,10 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Render series as an SVG document string."""
     ml, mr, mt, mb = 62, 16, 30, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     xs = [x for s in series for x, _ in s.points]
     ys = [y for s in series for _, y in s.points]
@@ -88,14 +90,14 @@ def line_plot(
         return mt + ph - (y - y0) / yspan * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="11">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>'
+            f'<text x="{WIDTH / 2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>'
         )
     for t in _ticks(x0 + padx, x1 - padx):
         px = tx(t)
@@ -115,7 +117,7 @@ def line_plot(
         )
     if xlabel:
         out.append(
-            f'<text x="{ml + pw / 2:.0f}" y="{height - 8}" text-anchor="middle">{xlabel}</text>'
+            f'<text x="{ml + pw / 2:.0f}" y="{HEIGHT - 8}" text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
         out.append(

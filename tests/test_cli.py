@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -129,6 +128,9 @@ class TestParseConfig:
         text = "[run]\npreset = physical-force\nduration = 1.0\nhops = 2\n"
         with pytest.raises(ConfigError, match="not both"):
             parse_config(write(tmp_path, text))
+        # a config built in code meets the same rule in resolve
+        with pytest.raises(ConfigError, match="exactly one of duration or hops"):
+            RunConfig(duration=1.0, hops=2).resolve()
 
     def test_invariant_violation_from_validate(self, tmp_path):
         text = "[run]\npreset = physical-force\n[hopper]\nk_s = 0\n"
@@ -335,10 +337,7 @@ class TestCmdRun:
 
     def test_hop_target_not_reached_exits_2(self, tmp_path, capsys, monkeypatch):
         # a 0.2 s guard in place of the 30 s default keeps the run short
-        resolve = RunConfig.resolve
-        monkeypatch.setattr(
-            RunConfig, "resolve", lambda self: replace(resolve(self), max_duration=0.2)
-        )
+        monkeypatch.setattr(sim, "MAX_DURATION", 0.2)
         cfg = write(tmp_path, "[run]\npreset = physical-force\n[motor]\ntau_max = 0.001\n")
         out = tmp_path / "o"
         code = main(["run", "--config", str(cfg), "--hops", "3", "--out", str(out)])

@@ -16,7 +16,11 @@ any output file must regenerate them on purpose and say so.
 
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -453,6 +457,23 @@ PLOT_SERIES = st.lists(
 @given(PLOT_SERIES)
 def test_line_plot_equal_to_per_coordinate_format(series):
     assert svg.line_plot(series) == reference_line_plot(series)
+
+
+def test_line_plot_of_a_one_ulp_range_returns():
+    # the y tick step is under half an ulp of 1e6, so adding it to a tick
+    # leaves the tick unchanged; a child process turns a hang into a timeout
+    code = (
+        "import math; from hopsim import svg; svg.line_plot("
+        "[svg.Series(((0.0, 1e6), (1.0, math.nextafter(1e6, 2e6))), 's')])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(svg.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_line_plot_equal_to_per_coordinate_format_on_a_run(force_run_1hop):

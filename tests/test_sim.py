@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopsim import analytic, control, kinematics, metrics, sim
 from hopsim.model import Gains, HopPhase, HopperParams, MotorParams
@@ -34,9 +35,6 @@ class NoReaction:
     """Stands in for the controller: phase events change no command here."""
 
     def on_touchdown(self, y_body, v_body):
-        pass
-
-    def on_liftoff(self):
         pass
 
 
@@ -197,6 +195,20 @@ class TestRun:
             vmax = max(abs(r0.v_body), abs(r1.v_body)) + 1.0
             assert abs(r1.y_body - r0.y_body) <= vmax * dt + 1e-9
 
+    @given(
+        m=st.floats(2.0, 10.0),
+        m_e=st.floats(0.2, 2.0),
+        k_s=st.floats(800.0, 4000.0),
+        C_amp=st.floats(0.03, 0.2),
+        C_max=st.floats(0.0, 0.5),
+    )
+    def test_start_length_is_the_trajectory_start(self, m, m_e, k_s, C_amp, C_max):
+        # initial_state starts every controller from the stance response at
+        # t=0 and builds no trajectory cycle to read its first desired length
+        p = HopperParams(m=m, m_e=m_e, k_s=k_s, C_amp=C_amp, C_max=C_max)
+        y_des = analytic.TrajectoryCycle(p).y_des(0.0)
+        assert y_des.hex() == analytic.stance_position(0.0, p).hex()
+
     def test_duration_zero_logs_initial_record_only(self, bundle_physical):
         res = sim.run(RunSetup(bundle=bundle_physical, controller="force", duration=0.0))
         assert res.ok
@@ -269,18 +281,17 @@ class TestRun:
         assert res.log.records[-2].t < landings[-1].t <= res.log.records[-1].t
 
     @pytest.mark.parametrize("controller", ["force", "position"])
-    def test_hop_target_not_reached_aborts(self, physical, controller):
+    def test_hop_target_not_reached_aborts(self, physical, controller, monkeypatch):
         from hopsim import model
 
         # a motor too weak to push off never lands again
         bundle = model.validate(physical, MotorParams(tau_max=0.001))
-        res = sim.run(
-            RunSetup(bundle=bundle, controller=controller, hops=3, max_duration=0.2)
-        )
+        monkeypatch.setattr(sim, "MAX_DURATION", 0.2)
+        res = sim.run(RunSetup(bundle=bundle, controller=controller, hops=3))
         assert not res.ok
         assert res.status == "aborted: hop target not reached (0 of 3 landings by t=0.200000)"
         assert res.log.failure == res.status.removeprefix("aborted: ")
-        assert len(res.log.records) == 801  # every tick up to max_duration, and the last state
+        assert len(res.log.records) == 801  # every tick up to MAX_DURATION, and the last state
 
     @pytest.mark.parametrize("controller", ["force", "position"])
     @pytest.mark.parametrize("dt", [2.5e-4, 2.5e-5])

@@ -55,6 +55,8 @@ def test_traced_child_counts_plant_calls(tmp_path, flags, reference):
         "control.command", "control.clock",
     ):
         assert spans.get(name, [0])[0] > 0, name
+    # one trajectory cycle per run: the controller's
+    assert spans["analytic.cycle_build"][0] == spans["sim.run"][0] == 1
     if reference is not None:
         assert spans.get("sim.reference", [0])[0] == 1
         ref = result["reference"]
