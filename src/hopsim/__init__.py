@@ -11,9 +11,7 @@ energy audit, torque-speed trace against the admissible operating region).
 from .analytic import (
     LiftState,
     TrajectoryCycle,
-    TrajectorySample,
     compensation,
-    desired_trajectory,
     flight_leg_length,
     flight_position,
     flight_window,

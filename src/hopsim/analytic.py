@@ -36,13 +36,6 @@ class LiftState:
     t_lo: float  # lift-off time, s
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    y_des: float
-    phase: HopPhase
-
-
 def stance_omega(p: HopperParams) -> float:
     """Angular frequency of the stance oscillation, sqrt(k_s/m)."""
     return math.sqrt(p.k_s / p.m)
@@ -233,11 +226,11 @@ class TrajectoryCycle:
 
     def __init__(self, p: HopperParams):
         self.params = p
-        self.t_lo, self.t_ld = switch_times(p)
+        self.t_lo, _ = switch_times(p)
         self.lift = lift_state(p)
         self.period = hop_period(p)
         self.flight_duration = relative_period(p)
-        self.touchdown_time = self.period - self.t_lo  # == t_ld
+        self.touchdown_time = self.period - self.t_lo  # == switch_times(p)[1]
         # Constants of the closed forms, computed once by the same functions
         # the free forms call, so every evaluation gives the same bits.
         self._c_max = p.C_max
@@ -308,15 +301,3 @@ class TrajectoryCycle:
         c = compensation(t, self.period, self._c_max)
         cdot = compensation_rate(t, self.period, self._c_max)
         return c * self.leg_velocity(t) + cdot * self.leg_length(t)
-
-    def sample(self, t: float) -> TrajectorySample:
-        return TrajectorySample(t=t, y_des=self.y_des(t), phase=self.phase(t))
-
-
-def desired_trajectory(t: float, p: HopperParams) -> TrajectorySample:
-    """Desired task-space sample at time t (reduced modulo the hop period).
-
-    Convenience wrapper; callers evaluating many samples should build one
-    :class:`TrajectoryCycle` and reuse it.
-    """
-    return TrajectoryCycle(p).sample(t)

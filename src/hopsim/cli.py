@@ -1,9 +1,10 @@
 """Command-line interface: config ingestion, runs, comparisons, file output.
 
 Subcommands: ``run``, ``compare``, ``traj``, ``aor``, ``presets``.  Exit
-codes: 0 success, 1 configuration error, 2 runtime abort.  All file output
-is atomic (temp file + rename) and a per-run ``status.txt`` records success
-or the abort reason, so a failed run never masquerades as a complete one.
+codes: 0 success, 1 invalid input (any HopsimError: one ``error:`` line),
+2 runtime abort.  All file output is atomic (temp file + rename) and a
+per-run ``status.txt`` records success or the abort reason, so a failed run
+never masquerades as a complete one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from . import analytic, metrics, model, sim, svg
-from .errors import ConfigError, HopsimError, ParameterError, SimulationAbort
+from .errors import ConfigError, HopsimError, ParameterError
 from .model import Gains, HopperParams, LegGeometry, MotorParams
 
 EXIT_OK = 0
@@ -39,9 +40,7 @@ class RunConfig:
 
     preset: str | None = None
     controller: str = "force"
-    params: HopperParams = field(
-        default=HopperParams(k_s=1700.0), metadata={"section": "hopper"}
-    )
+    params: HopperParams = field(default=model.PHYSICAL, metadata={"section": "hopper"})
     motor: MotorParams = MotorParams()
     gains: Gains | None = Gains()
     geometry: LegGeometry = LegGeometry()
@@ -104,7 +103,7 @@ _PRESETS = {
         controller=controller,
         params=model.physics_preset(physics),
         # the paper's Table 1 gains; position control scales its own
-        gains=Gains(k_p=5424.0, k_d=9.0) if controller == "force" else None,
+        gains=Gains() if controller == "force" else None,
     )
     for physics in model.PHYSICS_PRESETS
     for controller in ("force", "position")
@@ -382,10 +381,7 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     overlay = config_a.plots or config_b.plots
     results, outputs = [], []
     for label, cfg in (("a", config_a), ("b", config_b)):
-        try:
-            result = sim.run(cfg.resolve())
-        except HopsimError as exc:
-            raise ConfigError(str(exc)) from exc
+        result = sim.run(cfg.resolve())
         sub = out / f"{label}-{cfg.controller}"
         outputs.append(_emit_run_files(sub, result, cfg.plots, overlay))
         results.append(result)
@@ -432,16 +428,12 @@ def cmd_traj(config: RunConfig) -> int:
             f"trajectory rows in one {cycle.period!r} s period"
         )
     step = 1.0 / setup.control_rate
-    n = int(cycle.period / step)
-    lines = ["t,y_des,phase"]
-    for i in range(n + 1):
-        t = i * step
-        s = cycle.sample(t)
-        lines.append(f"{t!r},{s.y_des!r},{s.phase.value}")
+    times = [i * step for i in range(int(cycle.period / step) + 1)]
+    pts = tuple((t, cycle.y_des(t)) for t in times)  # y_des once per row, for CSV and plot
+    lines = ["t,y_des,phase", *(f"{t!r},{y!r},{cycle.phase(t).value}" for t, y in pts)]
     out = Path(config.out)
     write_atomic(out / "traj.csv", "\n".join(lines) + "\n")
     if config.plots:
-        pts = tuple((i * step, cycle.y_des(i * step)) for i in range(n + 1))
         _plot(
             out / "traj.svg", [svg.Series(pts, "y_des")],
             "desired leg length over one cycle", "t (s)", "y_des (m)",
@@ -562,12 +554,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compare(cfg_a, cfg_b)
         (cfg,) = _gather_configs(args, 1)
         return {"run": cmd_run, "traj": cmd_traj, "aor": cmd_aor}[args.command](cfg)
-    except (ConfigError, ParameterError) as exc:
+    except HopsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationAbort as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

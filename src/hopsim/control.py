@@ -93,12 +93,12 @@ def position_tracking_gains(motor: MotorParams) -> Gains:
     return Gains(k_p=k_p, k_d=0.02 * k_p)
 
 
-class _TrajectoryScheduler:
-    """Cycle-time bookkeeping synchronized to detected contact events.
+class _TrajectoryController:
+    """Shared machinery: desired joint targets from the trajectory cycle.
 
-    The clock runs freely through stance (wrapping at the period) but pauses
-    at the touchdown-ready point while airborne, so a flight that outlasts
-    the planned window holds the landing posture.
+    The trajectory clock runs freely through stance (wrapping at the period)
+    but pauses at the touchdown-ready point while airborne, so a flight that
+    outlasts the planned window holds the landing posture.
 
     A detected touchdown enters a landing segment instead of replaying the
     canonical descent: the desired leg length follows the spring response
@@ -110,17 +110,24 @@ class _TrajectoryScheduler:
     length, so the push always starts from the depth actually reached.
     """
 
-    def __init__(self, cycle: analytic.TrajectoryCycle):
-        self.cycle = cycle
+    force_law = None  # commands are held over a tick, not a continuous law
+
+    def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):
+        self.params = p
+        self.geometry = geo
+        self.motor = motor
+        self.cycle = analytic.TrajectoryCycle(p)
         self.t_traj = 0.0
         self._landing = None  # (amplitude, phase) of the fitted descent
         self._landing_tau = 0.0
         self._compressed = False  # leg has been seen compressing since touchdown
-        self._omega = analytic.stance_omega(cycle.params)
+        self._omega = analytic.stance_omega(p)
+        # Desired lengths are capped at the leg stops.
+        self._y_lo, self._y_hi = geo.constants.y_lo, geo.constants.y_hi
 
     def _ascent_phase_for_length(self, y_rel: float) -> float:
         """Canonical ascent time whose leg length matches y_rel (clamped)."""
-        p = self.cycle.params
+        p = self.params
         amp = analytic.stance_amplitude(p)
         ratio = min(1.0, max(-1.0, (p.y_s_neu - y_rel) / amp))
         return math.acos(ratio) / self._omega
@@ -141,49 +148,25 @@ class _TrajectoryScheduler:
             self.t_traj = (self.t_traj + dt) % self.cycle.period
 
     def on_touchdown(self, y_rel: float, v_rel: float) -> None:
-        p = self.cycle.params
         w = self._omega
-        dy = y_rel - p.y_s_neu
+        dy = y_rel - self.params.y_s_neu
         b = math.hypot(dy, v_rel / w)
         phi = math.atan2(-v_rel / w, dy)
         self._landing = (b, phi)
         self._landing_tau = 0.0
         self._compressed = v_rel < 0.0
 
-    def targets(self) -> tuple[float, float]:
-        """Desired (leg length, leg rate) for the current clock state."""
+    def joint_targets(self) -> tuple[float, float, float, float, bool]:
+        """Desired (theta_hip, theta_knee, thetad_hip, thetad_knee, clamped)."""
         if self._landing is not None:
             b, phi = self._landing
             w = self._omega
             # Hold the fitted bottom if the actual leg is still compressing.
             arg = min(w * self._landing_tau + phi, math.pi)
-            p = self.cycle.params
-            return p.y_s_neu + b * math.cos(arg), -b * w * math.sin(arg)
-        t = self.t_traj
-        return self.cycle.y_des(t), self.cycle.y_des_rate(t)
-
-
-class _TrajectoryController:
-    """Shared machinery: desired joint targets from the trajectory cycle."""
-
-    def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):
-        self.params = p
-        self.geometry = geo
-        self.motor = motor
-        self.cycle = analytic.TrajectoryCycle(p)
-        self.clock = _TrajectoryScheduler(self.cycle)
-        # Desired lengths are capped at the leg stops.
-        self._y_lo, self._y_hi = geo.constants.y_lo, geo.constants.y_hi
-
-    def advance(self, dt: float, phase: HopPhase, y_rel: float, v_rel: float) -> None:
-        self.clock.advance(dt, phase, y_rel, v_rel)
-
-    def on_touchdown(self, y_rel: float, v_rel: float) -> None:
-        self.clock.on_touchdown(y_rel, v_rel)
-
-    def joint_targets(self) -> tuple[float, float, float, float, bool]:
-        """Desired (theta_hip, theta_knee, thetad_hip, thetad_knee, clamped)."""
-        y_des, v_des = self.clock.targets()
+            y_des, v_des = self.params.y_s_neu + b * math.cos(arg), -b * w * math.sin(arg)
+        else:
+            t = self.t_traj
+            y_des, v_des = self.cycle.y_des(t), self.cycle.y_des_rate(t)
         clamped = False
         if not (self._y_lo < y_des < self._y_hi):
             y_des = min(max(y_des, self._y_lo), self._y_hi)

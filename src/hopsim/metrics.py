@@ -174,7 +174,7 @@ def energy_balance(log, w: StanceWindow, p: HopperParams) -> EnergyBalance:
 
 def first_stance_window(log) -> StanceWindow:
     """Window from the first record to the first detected lift-off."""
-    lifts = [e for e in log.events if e.kind == "lift"]
+    lifts = log.lift_events()
     if not lifts or not log.records:
         raise ValueError("log has no lift event")
     return StanceWindow(log.records[0].t, lifts[0].t)

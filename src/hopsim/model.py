@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import NamedTuple, get_type_hints
 
@@ -214,11 +214,10 @@ PHYSICS_PRESETS: dict[str, HopperParams] = {
 }
 
 
-def physics_preset(name: str, g: float = STANDARD_GRAVITY) -> HopperParams:
-    """Return a copy of a built-in physics preset with the given gravity."""
+def physics_preset(name: str) -> HopperParams:
+    """Return a built-in physics preset (frozen, so shared, not copied)."""
     try:
-        base = PHYSICS_PRESETS[name]
+        return PHYSICS_PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PHYSICS_PRESETS))
         raise KeyError(f"unknown physics preset {name!r} (known: {known})") from None
-    return replace(base, g=g)

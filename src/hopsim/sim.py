@@ -49,7 +49,12 @@ MAX_TICKS = 10_000_000  # most control ticks a run may ask for
 # their desired length clamped into the leg's reach.
 MAX_IK_FAILURES = 100
 MAX_DURATION = 30.0  # s, guard for hop-count runs
-CONTROLLERS = ("force", "position", "spring")  # the names RunSetup.controller takes
+# The names RunSetup.controller takes, each with the code that builds it.
+CONTROLLERS: dict[str, Callable[[ValidatedBundle], object]] = {
+    "force": lambda b: control.ForceController(b.params, b.geometry, b.motor, b.gains),
+    "position": lambda b: control.PositionController(b.params, b.geometry, b.motor),
+    "spring": lambda b: control.VirtualSpringController(b.params, b.geometry, b.motor),
+}
 
 
 class Record(NamedTuple):
@@ -136,12 +141,16 @@ class RunSetup:
 @dataclass
 class RunResult:
     log: TelemetryLog
-    status: str  # "ok" or "aborted: <reason>"
     setup: RunSetup
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.log.failure is None
+
+    @property
+    def status(self) -> str:
+        """The run's outcome: ``ok`` or ``aborted: <reason>``."""
+        return "ok" if self.ok else f"aborted: {self.log.failure}"
 
 
 # --- leg configuration helpers (raw floats, hot path) ---------------------
@@ -358,15 +367,6 @@ def _crossing(
 # --- run loop ---------------------------------------------------------------
 
 
-def _build_controller(setup: RunSetup):
-    b = setup.bundle
-    if setup.controller == "force":
-        return control.ForceController(b.params, b.geometry, b.motor, b.gains)
-    if setup.controller == "position":
-        return control.PositionController(b.params, b.geometry, b.motor)
-    return control.VirtualSpringController(b.params, b.geometry, b.motor)
-
-
 def initial_state(setup: RunSetup) -> SimState:
     """Pinned stance state at the trajectory start posture, at rest."""
     b = setup.bundle
@@ -450,8 +450,7 @@ def run(setup: RunSetup) -> RunResult:
     period = 1.0 / setup.control_rate
     n_sub = max(1, round(period / setup.dt))
     dt_sub = period / n_sub
-    controller = _build_controller(setup)
-    spring_law = controller.force_law if setup.controller == "spring" else None
+    controller = CONTROLLERS[setup.controller](b)
 
     t_end = _end_time(setup)
     log = TelemetryLog()
@@ -462,7 +461,7 @@ def run(setup: RunSetup) -> RunResult:
 
     def abort(reason: str) -> RunResult:
         log.failure = reason
-        return RunResult(log, f"aborted: {reason}", setup)
+        return RunResult(log, setup)
 
     while state.t < t_end - 1e-12:
         if setup.hops is not None and landings >= setup.hops:
@@ -478,7 +477,7 @@ def run(setup: RunSetup) -> RunResult:
                 )
         log.records.append(_record_from(state, cmd))
 
-        law = _plant_law(cmd, spring_law, geo)
+        law = _plant_law(cmd, controller.force_law, geo)
         try:
             state, landed, terms = _advance_tick(
                 state, law, terms, dt_sub, n_sub, p, geo, log, controller
@@ -498,7 +497,7 @@ def run(setup: RunSetup) -> RunResult:
             f"hop target not reached ({landings} of {setup.hops} landings "
             f"by t={state.t:.6f})"
         )
-    return RunResult(log, "ok", setup)
+    return RunResult(log, setup)
 
 
 def _advance_tick(state, law, terms, dt_sub, n_sub, p, geo, log, controller):

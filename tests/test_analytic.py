@@ -257,11 +257,11 @@ class TestCompensation:
 
 class TestDesiredTrajectory:
     def test_start_equals_stance_bottom(self, physical):
-        s = analytic.desired_trajectory(0.0, physical)
-        assert s.y_des == pytest.approx(
+        cycle = TrajectoryCycle(physical)
+        assert cycle.y_des(0.0) == pytest.approx(
             analytic.stance_position(0.0, physical), abs=1e-15
         )
-        assert s.phase is HopPhase.STANCE
+        assert cycle.phase(0.0) is HopPhase.STANCE
 
     def test_continuity_at_lift(self, physical):
         cycle = TrajectoryCycle(physical)

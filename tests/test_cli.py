@@ -314,6 +314,17 @@ class TestCmdRun:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "traj"])
+    def test_no_lift_off_is_one_error_line(self, tmp_path, capsys, command):
+        # the spring cannot hold the 5 kg foot up at this amplitude
+        cfg = write(tmp_path, "[hopper]\nm = 1\nm_e = 5\nk_s = 100\nC_amp = 0.01\n")
+        out = tmp_path / "o"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no lift-off"), err
+        assert not out.exists()
+
     def test_zero_duration_still_runs(self, tmp_path):
         out = tmp_path / "z"
         code = main(["run", "--preset", "physical-force", "--duration", "0", "--out", str(out)])

@@ -6,6 +6,8 @@ those attributes would leave the traced benchmark with zero counts; this
 runs the traced child on 1-hop runs so such a change fails here first.  The
 second run is shaped like the ``fine_dt_force`` workload: ten substeps per
 tick, then the two-mass reference, whose first lift the benchmark checks.
+The third drives the position controller, whose ``command`` is wrapped on
+its own class.
 """
 
 import json
@@ -20,13 +22,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    ("flags", "reference"),
-    [([], None), (["--dt", "2.5e-5"], {"dt": 2.5e-5, "hops": 1})],
-    ids=["run", "fine_dt_reference"],
+    ("preset", "flags", "reference"),
+    [
+        ("physical-force", [], None),
+        ("physical-force", ["--dt", "2.5e-5"], {"dt": 2.5e-5, "hops": 1}),
+        ("physical-position", [], None),
+    ],
+    ids=["run", "fine_dt_reference", "position"],
 )
-def test_traced_child_counts_plant_calls(tmp_path, flags, reference):
+def test_traced_child_counts_plant_calls(tmp_path, preset, flags, reference):
     spec = {
-        "argv": ["run", "--preset", "physical-force", "--hops", "1", *flags,
+        "argv": ["run", "--preset", preset, "--hops", "1", *flags,
                  "--out", str(tmp_path / "out")],
         "trace": True,
         "reference": reference,
