@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFlightWindowError, NoLiftOffError
+from .errors import DegenerateFlightWindowError, HopsimError, NoLiftOffError, ParameterError
 from .model import HopperParams, HopPhase
 
 logger = logging.getLogger(__name__)
@@ -222,9 +222,28 @@ class TrajectoryCycle:
     descent makes the cycle continuous at the flight boundaries and exactly
     periodic.  Evaluation is a pure function of time; instances are immutable
     and safe to share.
+
+    Hopper values that pass :func:`model.validate` can still be too extreme
+    for the closed forms' floating-point arithmetic (``C_amp = 1e300``,
+    ``k_s = 5e-324``) or give a period that is not positive and finite
+    (``m = 5e-324``); building the cycle then raises a one-line
+    :class:`ParameterError` instead of a bare arithmetic error later.
     """
 
     def __init__(self, p: HopperParams):
+        try:
+            self._build(p)
+            cause = None if 0.0 < self.period < math.inf else f"hop period {self.period!r}"
+        except HopsimError:
+            raise
+        except (ArithmeticError, ValueError) as exc:  # overflow, 1/0, math domain
+            cause = f"{type(exc).__name__}: {exc}"
+        if cause is not None:
+            raise ParameterError(
+                [("hopper", f"the closed-form hop cycle fails at these values ({cause})")]
+            )
+
+    def _build(self, p: HopperParams) -> None:
         self.params = p
         self.t_lo, _ = switch_times(p)
         self.lift = lift_state(p)

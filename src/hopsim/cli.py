@@ -17,7 +17,7 @@ import sys
 import warnings
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, get_args, get_type_hints
+from typing import Callable, Iterable, NamedTuple, get_args, get_type_hints
 
 from . import analytic, metrics, model, sim, svg
 from .errors import ConfigError, HopsimError, ParameterError
@@ -229,9 +229,12 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
 # --- file emission -----------------------------------------------------------
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
     """Write via a temp file and rename, so readers never see a partial file.
 
+    ``text`` is the whole text or an iterable of its chunks, which are
+    written as they come, so a streamed file never exists as one string; if
+    the iterable raises, the temp file is removed and nothing is renamed.
     The temp file is named per call (pid plus random bits) and opened with
     ``"x"``, so concurrent writers into one directory never share or clobber
     it; the file gets the same umask-derived mode as a plain write.
@@ -241,7 +244,10 @@ def write_atomic(path: Path, text: str) -> None:
     f = open(tmp, "x")  # outside the try: a name that exists is not ours to remove
     try:
         with f:
-            f.write(text)
+            if isinstance(text, str):
+                f.write(text)
+            else:
+                f.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -228,6 +228,14 @@ class VirtualSpringController:
     is carried by the knee alone and is evaluated continuously inside the
     integrator stages (no zero-order hold), so the closed loop has no
     discretization of the command itself.
+
+    Its lift-off is not the model's.  The feedforward's reaction pushes the
+    foot down with m*g as well, so the stance pin force m_e*g + force
+    reaches zero at the leg length y_s_neu + (m + m_e)*g/k_s (0.48693 m on
+    the physical preset), not at the model's y_s_neu + m_e*g/k_s
+    (0.45462 m).  On the same stance cosine the leg gets there 12.3167 ms
+    after the analytic t_lo, at every dt (2.5e-4, 1e-4 and 2.5e-5 s alike):
+    the offset is the lift condition, not integration error.
     """
 
     def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import analytic, control, kinematics
 from .errors import SimulationAbort
@@ -80,8 +80,11 @@ class Record(NamedTuple):
     c_act_knee: float
 
 
-# One CSV row: repr of every number (``%r`` is ``repr``), the phase as is.
-_CSV_ROW = ",".join("%s" if name == "phase" else "%r" for name in Record._fields)
+# One CSV line: repr of every number (``%r`` is ``repr``), the phase as is.
+_CSV_LINE = ",".join("%s" if name == "phase" else "%r" for name in Record._fields) + "\n"
+# Rows per text chunk of ``TelemetryLog.to_csv`` (about 70 kB of text),
+# so writing a log never holds more than one chunk of it as a string.
+_CSV_CHUNK_ROWS = 256
 
 
 class Event(NamedTuple):
@@ -108,11 +111,13 @@ class TelemetryLog:
     def csv_header(self) -> str:
         return ",".join(Record._fields)
 
-    def to_csv(self) -> str:
-        lines = [self.csv_header()]
-        lines += [_CSV_ROW % r for r in self.records]
-        lines.append("")  # the final newline, without copying the whole text again
-        return "\n".join(lines)
+    def to_csv(self) -> Iterator[str]:
+        """The CSV text in chunks: the header line, then blocks of
+        ``_CSV_CHUNK_ROWS`` rows; ``"".join`` of them is the whole file."""
+        yield self.csv_header() + "\n"
+        records = self.records
+        for i in range(0, len(records), _CSV_CHUNK_ROWS):
+            yield "".join([_CSV_LINE % r for r in records[i : i + _CSV_CHUNK_ROWS]])
 
 
 @dataclass

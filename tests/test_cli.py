@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopsim import analytic, cli, model, sim
 from hopsim.cli import RunConfig, main, parse_config
-from hopsim.errors import ConfigError
+from hopsim.errors import ConfigError, HopsimError
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -171,6 +172,31 @@ class TestParseConfig:
             pass
 
 
+# Each hopper float in the range validate accepts, subnormals and 1.7e308
+# included; then perhaps one field set to any finite float.
+HOPPER_VALUES = st.fixed_dictionaries({
+    f.name: st.floats(0.0, 1.0, exclude_max=True) if f.name == "C_max"
+    else st.floats(min_value=5e-324, max_value=1.7e308)
+    for f in fields(model.HopperParams)
+})
+ANY_HOPPER_FIELD = st.tuples(
+    st.sampled_from([f.name for f in fields(model.HopperParams)]),
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-5e-324, -1.7e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=HOPPER_VALUES, arbitrary=st.none() | ANY_HOPPER_FIELD)
+def test_any_finite_hopper_builds_a_cycle_or_raises_hopsim_error(values, arbitrary):
+    if arbitrary is not None:
+        values[arbitrary[0]] = arbitrary[1]
+    try:
+        bundle = RunConfig(params=model.HopperParams(**values)).validated()
+        analytic.TrajectoryCycle(bundle.params)
+    except HopsimError:
+        pass
+
+
 class TestCmdRun:
     def test_smoke_creates_files(self, tmp_path):
         out = tmp_path / "out"
@@ -323,6 +349,27 @@ class TestCmdRun:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: no lift-off"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "traj", "compare"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "C_amp = 1e300", "y_s_neu = 1e300", "g = 1e300", "k_s = 1e-300", "m = 1e200",
+            "k_s = 5e-324", "k_s = 1.7e308", "m = 5e-324",
+        ],
+    )
+    def test_extreme_hopper_value_is_one_error_line(self, tmp_path, capsys, command, line):
+        # finite values that validate accepts but the closed forms cannot
+        # compute: overflow, a math domain error, a zero hop period
+        cfg = write(tmp_path, f"[run]\npreset = physical-force\n[hopper]\n{line}\n")
+        out = tmp_path / "o"
+        other = ["--preset", "physical-position"] if command == "compare" else []
+        code = main([command, "--config", str(cfg), *other, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: invalid parameters: hopper: the closed-form hop cycle")
         assert not out.exists()
 
     def test_zero_duration_still_runs(self, tmp_path):

@@ -5,7 +5,8 @@ force-vs-position comparison and of the other CLI cases, and
 ``RunConfig.to_text``.  Bitwise oracles: the leg-terms kernel, the
 AOR lookup, the CSV row format, the SVG polyline, the trajectory cycle, the
 leg kinematics and the envelope command, each against a verbatim copy of the
-code it replaced.
+code it replaced.  Writing ``run.csv`` streams it in chunks, with a bound on
+the memory that takes whatever the log's length.
 
 The run.csv digests were taken before the plant's inner loop was rebuilt to
 evaluate each leg configuration once; the comparison digests before the
@@ -20,12 +21,13 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hopsim import analytic, control, kinematics, model, sim, svg
+from hopsim import analytic, cli, control, kinematics, model, sim, svg
 from hopsim.cli import main, parse_config
 from hopsim.errors import UnreachableLengthError
 from hopsim.kinematics import LegJacobian
@@ -348,12 +350,62 @@ def records(draw):
 @given(st.lists(records(), max_size=5))
 def test_to_csv_equal_to_per_field_join(rows):
     log = sim.TelemetryLog(records=rows)
-    assert log.to_csv() == reference_to_csv(log)
+    assert "".join(log.to_csv()) == reference_to_csv(log)
 
 
 def test_to_csv_equal_to_per_field_join_on_a_run(force_run_1hop):
     log = force_run_1hop.log
-    assert log.to_csv() == reference_to_csv(log)
+    assert "".join(log.to_csv()) == reference_to_csv(log)
+
+
+CHUNK = sim._CSV_CHUNK_ROWS
+CSV_SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-310, 0.1, -1e300, 7)
+
+
+def special_records(n):
+    """``n`` records whose numbers cycle through inf, NaN, -0.0 and subnormals."""
+    width = len(sim.Record._fields)
+    rows = []
+    for i in range(n):
+        values = [CSV_SPECIALS[(i * width + j) % len(CSV_SPECIALS)] for j in range(width)]
+        values[1] = "stance" if i % 2 else "flight"
+        rows.append(sim.Record(*values))
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_streamed_csv_equal_to_per_field_join_at_chunk_edges(n):
+    log = sim.TelemetryLog(records=special_records(n))
+    chunks = list(log.to_csv())
+    assert "".join(chunks) == reference_to_csv(log)
+    assert chunks[0] == log.csv_header() + "\n"
+    assert len(chunks) == 1 + math.ceil(n / CHUNK)
+
+
+@pytest.mark.parametrize("duration", [3.0, 6.0])
+def test_writing_run_csv_holds_one_chunk_not_the_log(tmp_path, bundle_physical, duration):
+    # 12k and 24k rows; a whole-log string took 7.56 and 14.99 MB here
+    log = sim.run(sim.RunSetup(bundle=bundle_physical, controller="position", duration=duration)).log
+    target = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        cli.write_atomic(target, log.to_csv())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, peak
+    with open(target) as f:
+        assert sum(1 for _ in f) == len(log.records) + 1
+
+
+def test_stream_that_raises_leaves_no_file(tmp_path):
+    def chunks():
+        yield "x" * 100_000  # more than the file buffer: the temp file has data
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli.write_atomic(tmp_path / "run.csv", chunks())
+    assert os.listdir(tmp_path) == []
 
 
 # --- SVG polyline -------------------------------------------------------------

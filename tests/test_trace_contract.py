@@ -56,13 +56,15 @@ def test_traced_child_counts_plant_calls(tmp_path, preset, flags, reference):
         assert counts.get(name, 0) > 0, name
     spans = result["trace"]["spans"]
     for name in (
-        "sim.run", "sim.plant", "sim.record", "cli.to_csv",
+        "sim.run", "sim.plant", "sim.record", "cli.to_csv", "cli.write",
         "analytic.y_des", "kinematics.ik", "kinematics.joint_rates",
         "control.command", "control.clock",
     ):
         assert spans.get(name, [0])[0] > 0, name
     # one trajectory cycle per run: the controller's
     assert spans["analytic.cycle_build"][0] == spans["sim.run"][0] == 1
+    # run.csv is streamed from one to_csv call into the wrapped writer
+    assert spans["cli.to_csv"][0] == spans["sim.run"][0]
     if reference is not None:
         assert spans.get("sim.reference", [0])[0] == 1
         ref = result["reference"]
