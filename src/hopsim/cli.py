@@ -130,6 +130,11 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """CSV text: the header, then each row, every cell through :func:`_cell`."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -295,21 +300,19 @@ def summarize(
         return summary
     summary.t_first_lift = lifts[0].t
     summary.period = _median_interval([e.t for e in lifts])
-    window = metrics.first_stance_window(log)
-    summary.c_act_avg = metrics.average_saturation_ratio(log, window)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         summary.h_r_init, summary.h_r_max = metrics.foot_clearance(log)
-    balance = metrics.energy_balance(log, window, result.setup.bundle.params)
-    summary.work = balance.work
-    summary.energy_residual = balance.residual
     summary.aor_mean_gap = metrics.trace_mean_gap(trace, curve)
+    # A lift before the second record (at t = 0 or inside the first tick)
+    # leaves the first stance window fewer than the two records it needs.
+    if log.records[1].t <= lifts[0].t:
+        window = metrics.first_stance_window(log)
+        summary.c_act_avg = metrics.average_saturation_ratio(log, window)
+        balance = metrics.energy_balance(log, window, result.setup.bundle.params)
+        summary.work = balance.work
+        summary.energy_residual = balance.residual
     return summary
-
-
-def _summary_csv(summary: RunSummary) -> str:
-    header = ",".join(f.name for f in fields(RunSummary))
-    return f"{header}\n{','.join(map(_cell, astuple(summary)))}\n"
 
 
 # title, x label and y label of the plots written more than once
@@ -343,7 +346,7 @@ def _emit_run_files(
     curve = metrics.aor_curve(result.setup.bundle.motor)
     trace = tuple(metrics.speed_torque_trace(result.log))
     summary = summarize(result, curve, trace)
-    write_atomic(out / "summary.csv", _summary_csv(summary))
+    write_atomic(out / "summary.csv", _csv([f.name for f in fields(summary)], [astuple(summary)]))
     write_atomic(out / "status.txt", result.status + "\n")
     foot = None
     if plots or overlay:
@@ -393,7 +396,7 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
         results.append(result)
     sa, sb = (o.summary for o in outputs)
 
-    csv_lines = ["metric,a,b,delta"]
+    rows = []
     txt_lines = [f"comparison: a={sa.controller} vs b={sb.controller}"]
     for name in _COMPARED:
         va, vb = getattr(sa, name), getattr(sb, name)
@@ -401,9 +404,9 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
         if name == "c_act_avg":
             va, vb, dv = _fmt4(va), _fmt4(vb), _fmt4(dv)
         va, vb, dv = _cell(va), _cell(vb), _cell(dv)
-        csv_lines.append(f"{name},{va},{vb},{dv}")
+        rows.append((name, va, vb, dv))
         txt_lines.append(f"  {name:16s} a={va:24s} b={vb:24s} delta={dv}")
-    write_atomic(out / "compare.csv", "\n".join(csv_lines) + "\n")
+    write_atomic(out / "compare.csv", _csv(("metric", "a", "b", "delta"), rows))
     report = "\n".join(txt_lines) + "\n"
     write_atomic(out / "compare.txt", report)
     print(report, end="")
@@ -436,9 +439,9 @@ def cmd_traj(config: RunConfig) -> int:
     step = 1.0 / setup.control_rate
     times = [i * step for i in range(int(cycle.period / step) + 1)]
     pts = tuple((t, cycle.y_des(t)) for t in times)  # y_des once per row, for CSV and plot
-    lines = ["t,y_des,phase", *(f"{t!r},{y!r},{cycle.phase(t).value}" for t, y in pts)]
     out = Path(config.out)
-    write_atomic(out / "traj.csv", "\n".join(lines) + "\n")
+    rows = ((t, y, cycle.phase(t).value) for t, y in pts)
+    write_atomic(out / "traj.csv", _csv(("t", "y_des", "phase"), rows))
     if config.plots:
         _plot(
             out / "traj.svg", [svg.Series(pts, "y_des")],
@@ -450,11 +453,8 @@ def cmd_traj(config: RunConfig) -> int:
 def cmd_aor(config: RunConfig) -> int:
     """Emit the admissible operating region boundary as CSV (and SVG)."""
     curve = metrics.aor_curve(config.validated().motor)
-    lines = ["speed,torque"]
-    for s, tq in curve.points:
-        lines.append(f"{s!r},{tq!r}")
     out = Path(config.out)
-    write_atomic(out / "aor.csv", "\n".join(lines) + "\n")
+    write_atomic(out / "aor.csv", _csv(("speed", "torque"), curve.points))
     if config.plots:
         _plot(
             out / "aor.svg", [svg.Series(curve.mirrored(), "AOR", color="#333333")],
@@ -480,19 +480,11 @@ def cmd_presets() -> int:
 # --- argument parsing --------------------------------------------------------
 
 
-class _SourceAction(argparse.Action):
-    """Collect --config/--preset occurrences in command-line order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, "sources", None) or []
-        items.append((self.const, values))
-        namespace.sources = items
-
-
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", action=_SourceAction, const="config", metavar="PATH",
+    # both append to one list, in command-line order; a config file is a Path
+    sp.add_argument("--config", action="append", dest="sources", type=Path, metavar="PATH",
                     help="plain-text config file")
-    sp.add_argument("--preset", action=_SourceAction, const="preset", metavar="NAME",
+    sp.add_argument("--preset", action="append", dest="sources", metavar="NAME",
                     help="built-in preset (see 'presets')")
     sp.add_argument("--controller", choices=sim.CONTROLLERS)
     group = sp.add_mutually_exclusive_group()
@@ -501,12 +493,6 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--dt", type=float)
     sp.add_argument("--out", metavar="DIR")
     sp.add_argument("--plots", action="store_true")
-
-
-def _config_from_source(kind: str, value: str) -> RunConfig:
-    if kind == "config":
-        return parse_config(value)
-    return _run_preset(value)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -526,11 +512,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _gather_configs(args, expected: int) -> list[RunConfig]:
-    sources = getattr(args, "sources", None) or []
+    sources = args.sources or []
     if len(sources) != expected:
         what = "--config/--preset source" + ("s" if expected > 1 else "")
         raise ConfigError(f"expected {expected} {what}, got {len(sources)}")
-    return [_apply_overrides(_config_from_source(k, v), args) for k, v in sources]
+    configs = (parse_config(s) if isinstance(s, Path) else _run_preset(s) for s in sources)
+    return [_apply_overrides(cfg, args) for cfg in configs]
 
 
 def build_parser() -> argparse.ArgumentParser:

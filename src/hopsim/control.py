@@ -132,7 +132,16 @@ class _TrajectoryController:
         ratio = min(1.0, max(-1.0, (p.y_s_neu - y_rel) / amp))
         return math.acos(ratio) / self._omega
 
-    def advance(self, dt: float, phase: HopPhase, y_rel: float, v_rel: float) -> None:
+    def advance(self, dt: float, state, touchdown) -> None:
+        """Move the clock over a tick that ended in ``state``, first fitting the
+        descent to ``touchdown``, the tick's last landing (foot at rest at 0)."""
+        if touchdown is not None:
+            w = self._omega
+            dy, v_td = touchdown.y_body - self.params.y_s_neu, touchdown.v_body
+            self._landing = (math.hypot(dy, v_td / w), math.atan2(-v_td / w, dy))
+            self._landing_tau = 0.0
+            self._compressed = v_td < 0.0
+        phase, y_rel, v_rel = state.phase, state.y_body - state.y_foot, state.v_body - state.v_foot
         if self._landing is not None:
             if v_rel < 0.0:
                 self._compressed = True
@@ -146,15 +155,6 @@ class _TrajectoryController:
             self.t_traj = min(self.t_traj + dt, self.cycle.touchdown_time)
         else:
             self.t_traj = (self.t_traj + dt) % self.cycle.period
-
-    def on_touchdown(self, y_rel: float, v_rel: float) -> None:
-        w = self._omega
-        dy = y_rel - self.params.y_s_neu
-        b = math.hypot(dy, v_rel / w)
-        phi = math.atan2(-v_rel / w, dy)
-        self._landing = (b, phi)
-        self._landing_tau = 0.0
-        self._compressed = v_rel < 0.0
 
     def joint_targets(self) -> tuple[float, float, float, float, bool]:
         """Desired (theta_hip, theta_knee, thetad_hip, thetad_knee, clamped)."""
@@ -247,10 +247,7 @@ class VirtualSpringController:
         p = self.params
         return p.k_s * (p.y_s_neu - y_rel) + p.m * p.g
 
-    def advance(self, dt: float, phase: HopPhase, y_rel: float, v_rel: float) -> None:
-        pass
-
-    def on_touchdown(self, y_rel: float, v_rel: float) -> None:
+    def advance(self, dt: float, state, touchdown) -> None:
         pass
 
     def command(self, state) -> JointCommands:

@@ -189,6 +189,22 @@ def validate(
 
     if violations:
         raise ParameterError(violations)
+    # Derived values that valid fields can still break: the AOR curve divides
+    # by omega_max/R; L1**2 overflows above about 1.3e154; links shorter than
+    # REACH_MARGIN cross the stops; long, nearly equal links round the folded
+    # stop to a zero knee-angle length, which the leg Jacobian divides by.
+    check(motor.omega_max / motor.R > 0.0, "motor", "omega_max/R underflows to zero")
+    from .kinematics import inverse_kinematics, leg_length  # kinematics imports this module
+    try:
+        leg = geometry.constants
+        folded = leg_length(inverse_kinematics(leg.y_lo, geometry)[1], geometry)
+        usable = math.isfinite(leg.sum_sq) and leg.y_lo < leg.y_hi and folded > 0.0
+    except (ArithmeticError, ValueError):  # L1**2 overflow, a stop outside the reach
+        usable = False
+    check(usable, "geometry", f"links L1={geometry.L1!r}, L2={geometry.L2!r} give no usable "
+          f"leg map: each must exceed {REACH_MARGIN} m, and the knee angle resolve the stops")
+    if violations:
+        raise ParameterError(violations)
 
     warnings = []
     reach = geometry.L1 + geometry.L2

@@ -7,17 +7,18 @@ task-space force, both under gravity.  Phase transitions are detected by
 sign crossings (stance pin force for lift-off, foot height for touchdown),
 located by linear interpolation within a step.
 
-:func:`_advance_tick` is the one place that steps the plant and locates
-events: each control tick runs its substeps through :func:`_substep`, which
-evaluates each distinct leg configuration once.  The force evaluated at the
+Each tick of :func:`run` goes command -> record -> plant -> landings ->
+clock, and :func:`run` makes every controller call.  The plant,
+:func:`_advance_tick`, calls none: it steps the plant and locates events,
+evaluating each distinct leg configuration once.  The force evaluated at the
 state after a substep is that step's post-step pin force and the next
 substep's stage-1 force and pre-step pin force; the last evaluation of a
-tick also gives the joint state recorded for it, and its leg terms carry
-into the next tick, whose first force differs only in the held torques.
-Only the stage 2-4 states of each RK4 step, the state after an event, and
-the start state of a run are evaluated afresh.  The reuse changes no
-floating-point operation, so telemetry is byte-identical to evaluating every
-configuration each time it is needed.
+tick also gives the joint state recorded for it, and its leg terms ride on
+the returned state into the next tick, whose first force differs only in
+the held torques.  Only the stage 2-4 states of each RK4 step, the state
+after an event, and the start state of a run are evaluated afresh.  The
+reuse changes no floating-point operation, so telemetry is byte-identical
+to evaluating every configuration each time it is needed.
 
 The module also provides :class:`TwoMassReference`, an RK4-plus-events
 integration of the ideal two-mass model itself (the dynamics the closed-form
@@ -129,6 +130,7 @@ class SimState:
     y_foot: float
     v_foot: float
     joints: kinematics.JointState
+    terms: tuple | None = None  # leg terms at this state, if the plant evaluated them
 
 
 @dataclass
@@ -224,13 +226,9 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
     return yb, vb, yf, vf
 
 
-# (y_rel, v_rel[, leg terms at y_rel]) -> (task force, leg terms or None)
-PlantLaw = Callable[..., tuple[float, tuple | None]]
-
-
 def _plant_law(
     cmd: control.JointCommands, law: Callable[[float, float], float] | None, geo: LegGeometry
-) -> PlantLaw:
+):
     """The plant's force evaluation: (y_rel, v_rel) -> (task force, leg terms).
 
     Held joint torques map to the task force through the leg terms at the
@@ -307,25 +305,6 @@ def _rk4_flight(yb, vb, yf, vf, f, dt, p: HopperParams, law):
     yf_n = yf + dt6 * (vf + 2.0 * vf2 + 2.0 * vf3 + vf4)
     vf_n = vf + dt6 * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
     return yb_n, vb_n, yf_n, vf_n
-
-
-def _substep(phase, yb, vb, yf, vf, f, t, dt, p: HopperParams, geo: LegGeometry, law):
-    """One RK4 step of the active phase from time ``t``, then the leg stops.
-
-    ``f`` is the task force at the start state.  Returns the new state with
-    its own force evaluation ``(f, terms)``, which serves the next step as
-    its stage-1 force and the caller as the post-step pin force.
-    """
-    if phase is HopPhase.STANCE:
-        nyb, nvb = _rk4_stance(yb, vb, f, dt, p, law)
-        nyf, nvf = yf, vf
-    else:
-        nyb, nvb, nyf, nvf = _rk4_flight(yb, vb, yf, vf, f, dt, p, law)
-    nyb, nvb, nyf, nvf = _apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
-    if not (math.isfinite(nyb) and math.isfinite(nvb) and math.isfinite(nyf) and math.isfinite(nvf)):
-        raise SimulationAbort(f"non-finite state at t={t + dt:.6f}")
-    nf, terms = law(nyb - nyf, nvb - nvf)
-    return nyb, nvb, nyf, nvf, nf, terms
 
 
 # --- event detection -------------------------------------------------------
@@ -442,11 +421,11 @@ def check_setup(setup: RunSetup) -> None:
 def run(setup: RunSetup) -> RunResult:
     """Run the control loop at a fixed rate and return the telemetry log.
 
-    Each tick: controller command, plant substeps with transition checks,
-    trajectory clock advance.  The run is seed-free and deterministic: the
-    same setup produces a bitwise-identical log.  Aborts (non-finite state,
-    too many unreachable-trajectory ticks) return a partial log whose
-    ``failure`` field carries the reason.
+    Each tick: controller command, telemetry record, plant substeps with
+    transition checks, landing count, trajectory clock advance.  The run is
+    seed-free and deterministic: the same setup produces a bitwise-identical
+    log.  Aborts (non-finite state, too many unreachable-trajectory ticks)
+    return a partial log whose ``failure`` field carries the reason.
     """
     check_setup(setup)
 
@@ -462,7 +441,6 @@ def run(setup: RunSetup) -> RunResult:
     state = initial_state(setup)
     ik_failures = 0
     landings = 0
-    terms = None  # leg terms at the current state, carried from the last tick
 
     def abort(reason: str) -> RunResult:
         log.failure = reason
@@ -472,29 +450,29 @@ def run(setup: RunSetup) -> RunResult:
         if setup.hops is not None and landings >= setup.hops:
             break
         cmd = controller.command(state)
+        log.records.append(_record_from(state, cmd))
         if cmd.ik_clamped:
             ik_failures += 1
             if ik_failures > MAX_IK_FAILURES:
-                log.records.append(_record_from(state, cmd))
                 return abort(
                     f"desired trajectory unreachable on {ik_failures} ticks in total "
                     f"(limit {MAX_IK_FAILURES})"
                 )
-        log.records.append(_record_from(state, cmd))
 
         law = _plant_law(cmd, controller.force_law, geo)
+        seen = len(log.events)
         try:
-            state, landed, terms = _advance_tick(
-                state, law, terms, dt_sub, n_sub, p, geo, log, controller
-            )
+            state = _advance_tick(state, law, dt_sub, n_sub, p, geo, log)
         except SimulationAbort as exc:
             return abort(str(exc))
-        landings += landed
+        touchdown = None  # the tick's last landing
+        for event in log.events[seen:]:
+            if event.kind == "landing":
+                landings += 1
+                touchdown = event
         if not (math.isfinite(state.y_body) and abs(state.y_body) < 1e6):
             return abort(f"state diverged at t={state.t:.6f}")
-        controller.advance(
-            period, state.phase, state.y_body - state.y_foot, state.v_body - state.v_foot
-        )
+        controller.advance(period, state, touchdown)
 
     log.records.append(_record_from(state, controller.command(state)))
     if setup.hops is not None and landings < setup.hops:
@@ -505,29 +483,34 @@ def run(setup: RunSetup) -> RunResult:
     return RunResult(log, setup)
 
 
-def _advance_tick(state, law, terms, dt_sub, n_sub, p, geo, log, controller):
+def _advance_tick(state, law, dt_sub, n_sub, p, geo, log) -> SimState:
     """Integrate one control tick of ``n_sub`` substeps under held commands.
 
-    ``terms`` are the leg terms at ``state`` if the caller holds them (the
-    last tick ended there), else None.  Phase events found inside a substep
-    are appended to ``log.events``, and a landing is reported to
-    ``controller`` through ``on_touchdown(y_body, v_body)``.  Returns the state
-    at the end of the tick, the number of landings among those events, and
-    the leg terms at the end state (None under a continuous force law).
+    Each substep is one RK4 step of the active phase from the force at its
+    start state, then the leg stops.  Phase events found inside a substep
+    are appended to ``log.events`` and the rest of the substep is integrated
+    in the new phase.  Returns the end state, carrying its leg terms for the
+    next tick to start from (None under a continuous force law).
     """
     t, phase = state.t, state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
     weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
-    f, terms = law(yb - yf, vb - vf, terms)
-    landings = 0
+    f, terms = law(yb - yf, vb - vf, state.terms)
 
     for _ in range(n_sub):
         dt_left = dt_sub
         events_seen = 0
         while dt_left > 0.0:
-            nyb, nvb, nyf, nvf, nf, nterms = _substep(
-                phase, yb, vb, yf, vf, f, t, dt_left, p, geo, law
-            )
+            if phase is HopPhase.STANCE:
+                nyb, nvb = _rk4_stance(yb, vb, f, dt_left, p, law)
+                nyf, nvf = yf, vf
+            else:
+                nyb, nvb, nyf, nvf = _rk4_flight(yb, vb, yf, vf, f, dt_left, p, law)
+            nyb, nvb, nyf, nvf = _apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
+            if not (math.isfinite(nyb) and math.isfinite(nvb)
+                    and math.isfinite(nyf) and math.isfinite(nvf)):
+                raise SimulationAbort(f"non-finite state at t={t + dt_left:.6f}")
+            nf, nterms = law(nyb - nyf, nvb - nvf)
             tr = None
             if events_seen < _MAX_EVENTS_PER_STEP:
                 # _crossing reads the pin forces only in stance.
@@ -547,8 +530,6 @@ def _advance_tick(state, law, terms, dt_sub, n_sub, p, geo, log, controller):
             if kind == "landing":
                 yf, vf = 0.0, 0.0  # plastic contact: foot kinetic energy lost
                 phase = HopPhase.STANCE
-                controller.on_touchdown(yb, vb)
-                landings += 1
             else:
                 yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
                 phase = HopPhase.FLIGHT
@@ -558,7 +539,7 @@ def _advance_tick(state, law, terms, dt_sub, n_sub, p, geo, log, controller):
             f, terms = law(yb - yf, vb - vf)
 
     joints = _joints_from(terms if terms is not None else _leg_terms(yb - yf, geo), vb - vf, geo)
-    return SimState(t, phase, yb, vb, yf, vf, joints), landings, terms
+    return SimState(t, phase, yb, vb, yf, vf, joints, terms)
 
 
 # --- two-mass model reference integration ----------------------------------

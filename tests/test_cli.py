@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hopsim import analytic, cli, model, sim
+from hopsim import analytic, cli, metrics, model, sim
 from hopsim.cli import RunConfig, main, parse_config
 from hopsim.errors import ConfigError, HopsimError
 
@@ -197,6 +197,39 @@ def test_any_finite_hopper_builds_a_cycle_or_raises_hopsim_error(values, arbitra
         pass
 
 
+def accepted_values(cls):
+    """Each float field of ``cls`` at its default or anywhere in the range
+    ``validate`` accepts, subnormals and 1.7e308 included."""
+    low = {"R": 1.0, "k_p": 0.0, "k_d": 0.0}
+    return st.fixed_dictionaries({
+        name: st.just(getattr(cls(), name)) | (
+            st.floats(0.0, 1.0, exclude_max=True) if name == "C_max"
+            else st.floats(low.get(name, 5e-324), 1.7e308)
+        )
+        for name in model._float_fields(cls)
+    })
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    controller=st.sampled_from(list(sim.CONTROLLERS)),
+    sections=st.fixed_dictionaries({
+        "hopper": accepted_values(model.HopperParams),
+        "motor": accepted_values(model.MotorParams),
+        "gains": accepted_values(model.Gains),
+        "geometry": accepted_values(model.LegGeometry),
+    }),
+)
+def test_any_accepted_config_runs_or_exits_with_a_code(tmp_path, controller, sections):
+    text = f"[run]\ncontroller = {controller}\nduration = 0.05\n" + "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value!r}\n" for key, value in values.items())
+        for section, values in sections.items()
+    )
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 1, 2)
+
+
 class TestCmdRun:
     def test_smoke_creates_files(self, tmp_path):
         out = tmp_path / "out"
@@ -371,6 +404,57 @@ class TestCmdRun:
         assert len(err) == 1, err
         assert err[0].startswith("error: invalid parameters: hopper: the closed-form hop cycle")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "traj", "aor"])
+    @pytest.mark.parametrize(
+        ("section", "lines"),
+        [
+            # L2**2 overflows
+            ("geometry", "L2 = 1.2006444916438845e+252"),
+            # 2*L1*L2 underflows to 0; the stops cross
+            ("geometry", "L1 = 3.564422582146801e-275\nL2 = 1.0979067747436457e-79"),
+            # the knee angle rounds the folded stop to a zero length
+            ("geometry", "L1 = 23726567.0\nL2 = 23726567.0"),
+            # the joint-side no-load speed omega_max/R underflows to 0
+            ("motor", "omega_max = 5e-324"),
+        ],
+        ids=["L2_overflow", "L1L2_underflow", "long_equal_links", "no_load_underflow"],
+    )
+    def test_unusable_derived_value_is_one_error_line(
+        self, tmp_path, capsys, command, section, lines
+    ):
+        cfg = write(tmp_path, f"[run]\npreset = physical-force\n[{section}]\n{lines}\n")
+        out = tmp_path / "o"
+        other = ["--preset", "physical-position"] if command == "compare" else []
+        code = main([command, "--config", str(cfg), *other, "--hops", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: invalid parameters: {section}: ")
+        assert not out.exists()
+
+    def test_lift_at_the_first_record_leaves_window_metrics_empty(self, tmp_path):
+        # next to no foot weight: the pin force is 0 at t = 0, so the foot lifts there
+        cfg = write(tmp_path, "[run]\npreset = physical-force\n[hopper]\ng = 5e-324\nm_e = 0.001\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--hops", "1", "--out", str(out)]) == 0
+        assert (out / "status.txt").read_text() == "ok\n"
+        header, row = (out / "summary.csv").read_text().splitlines()
+        summary = dict(zip(header.split(","), row.split(",")))
+        assert summary["t_first_lift"] == "0.0"
+        assert summary["c_act_avg"] == summary["work"] == summary["energy_residual"] == ""
+        assert summary["aor_mean_gap"] != ""
+
+    def test_lift_inside_the_first_tick_leaves_window_metrics_empty(self):
+        setup = RunConfig(preset="physical-force", hops=1).resolve()
+        result = sim.run(setup)
+        lift = result.log.lift_events()[0]
+        i = result.log.events.index(lift)
+        result.log.events[i] = lift._replace(t=0.5 * result.log.records[1].t)
+        curve = metrics.aor_curve(setup.bundle.motor)
+        summary = cli.summarize(result, curve, tuple(metrics.speed_torque_trace(result.log)))
+        assert summary.t_first_lift == 0.5 * result.log.records[1].t
+        assert summary.c_act_avg is summary.work is summary.energy_residual is None
 
     def test_zero_duration_still_runs(self, tmp_path):
         out = tmp_path / "z"

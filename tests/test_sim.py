@@ -31,22 +31,13 @@ ZERO_TORQUE = control.JointCommands(
 )
 
 
-class NoReaction:
-    """Stands in for the controller: phase events change no command here."""
-
-    def on_touchdown(self, y_body, v_body):
-        pass
-
-
 def advance(state, n_sub, dt, bundle, force_law=None):
     """``n_sub`` plant substeps under zero held torques (or a continuous
     ``force_law``) through the run loop's tick; returns the state and log."""
     geo = bundle.geometry
     law = sim._plant_law(ZERO_TORQUE, force_law, geo)
     log = sim.TelemetryLog()
-    state, _, _ = sim._advance_tick(
-        state, law, None, dt, n_sub, bundle.params, geo, log, NoReaction()
-    )
+    state = sim._advance_tick(state, law, dt, n_sub, bundle.params, geo, log)
     return state, log
 
 
