@@ -7,24 +7,20 @@ trajectory with a position compensation coefficient applied over the second
 half of the cycle.
 
 Two closed forms are kept for the flight segment.  ``flight_position`` is
-the legacy amplitude-sum form; it disagrees with a direct integration of the
-two-mass flight dynamics, so the trajectory generator uses
-``flight_leg_length`` instead, which matches that integration to machine
-precision.  The discrepancy is logged when a cycle is built.
+the paper's legacy amplitude-sum form; it disagrees with a direct
+integration of the two-mass flight dynamics, so the trajectory generator
+uses ``flight_leg_length`` instead, which matches that integration to
+machine precision.  The legacy form stays public for comparison, but no run
+evaluates it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .errors import DegenerateFlightWindowError, HopsimError, NoLiftOffError, ParameterError
 from .model import HopperParams, HopPhase
-
-logger = logging.getLogger(__name__)
-
-_EQ_FORM_TOL = 1e-4  # agreement threshold between the two flight closed forms
 
 
 @dataclass(frozen=True)
@@ -213,6 +209,13 @@ def compensation_rate(t: float, T: float, C_max: float) -> float:
     return -0.5 * C_max * (4.0 * math.pi / T) * math.sin(4.0 * math.pi * t / T)
 
 
+# the cached constants that leg_length and leg_velocity read
+_LEG_CONSTANTS = (
+    "_stance_amp", "_stance_w", "_stance_neg_amp_w",
+    "_flight_b", "_flight_w", "_flight_alpha", "_flight_neg_b_w",
+)
+
+
 class TrajectoryCycle:
     """Precomputed desired trajectory of one hop cycle.
 
@@ -224,16 +227,24 @@ class TrajectoryCycle:
     and safe to share.
 
     Hopper values that pass :func:`model.validate` can still be too extreme
-    for the closed forms' floating-point arithmetic (``C_amp = 1e300``,
-    ``k_s = 5e-324``) or give a period that is not positive and finite
-    (``m = 5e-324``); building the cycle then raises a one-line
-    :class:`ParameterError` instead of a bare arithmetic error later.
+    for the closed forms' floating-point arithmetic.  Building the cycle
+    raises a one-line :class:`ParameterError`, instead of a bare arithmetic
+    error later, when a closed form fails (``C_amp = 1e300`` overflows),
+    when the period is not positive and finite (``m = 5e-324`` gives 0,
+    ``k_s = 5e-324`` gives inf), or when a constant that
+    :meth:`leg_length` and :meth:`leg_velocity` read is not finite
+    (``k_s = 1.7e308`` gives an infinite flight frequency, ``m = 1e200`` an
+    infinite flight amplitude).
     """
 
     def __init__(self, p: HopperParams):
         try:
             self._build(p)
             cause = None if 0.0 < self.period < math.inf else f"hop period {self.period!r}"
+            for name in _LEG_CONSTANTS:
+                value = getattr(self, name)
+                if cause is None and not math.isfinite(value):
+                    cause = f"{name[1:]} {value!r}"
         except HopsimError:
             raise
         except (ArithmeticError, ValueError) as exc:  # overflow, 1/0, math domain
@@ -261,21 +272,6 @@ class TrajectoryCycle:
         self._flight_alpha = flight_phase_offset(p, self.lift)
         self._flight_w = flight_omega(p)
         self._flight_neg_b_w = -self._flight_b * self._flight_w
-        # Compare the legacy flight form against the dynamics-consistent one
-        # at mid-window; they are known to disagree, and the latter wins.
-        try:
-            t_f_s, t_f_e = flight_window(p, self.lift)
-            legacy_mid = flight_position((t_f_s + t_f_e) / 2.0, p, self.lift)
-        except DegenerateFlightWindowError:
-            legacy_mid = math.nan
-        consistent_mid = flight_leg_length(self.flight_duration / 2.0, p, self.lift)
-        self.flight_form_discrepancy = abs(legacy_mid - consistent_mid)
-        if not self.flight_form_discrepancy <= _EQ_FORM_TOL:
-            logger.info(
-                "amplitude-sum flight form disagrees with two-mass integration "
-                "by %.6g m at mid-window; using the dynamics-consistent segment",
-                self.flight_form_discrepancy,
-            )
 
     def phase(self, t: float) -> HopPhase:
         t = t % self.period

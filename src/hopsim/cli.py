@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
-import statistics
 import sys
-import warnings
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, get_args, get_type_hints
@@ -260,9 +258,13 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
 
 
 def _median_interval(times: list[float]) -> float | None:
+    """Median gap between successive times: the middle gap of an odd count,
+    the mean of the two middle gaps of an even one."""
     if len(times) < 2:
         return None
-    return statistics.median(t1 - t0 for t0, t1 in zip(times, times[1:]))
+    gaps = sorted(t1 - t0 for t0, t1 in zip(times, times[1:]))
+    mid = len(gaps) // 2
+    return gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
 
 
 @dataclass
@@ -300,9 +302,7 @@ def summarize(
         return summary
     summary.t_first_lift = lifts[0].t
     summary.period = _median_interval([e.t for e in lifts])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        summary.h_r_init, summary.h_r_max = metrics.foot_clearance(log)
+    summary.h_r_init, summary.h_r_max = metrics.foot_clearance(log)
     summary.aor_mean_gap = metrics.trace_mean_gap(trace, curve)
     # A lift before the second record (at t = 0 or inside the first tick)
     # leaves the first stance window fewer than the two records it needs.

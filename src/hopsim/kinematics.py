@@ -106,7 +106,8 @@ def _jacobian_terms(theta_knee: float, geo: LegGeometry) -> tuple[float, float, 
     singular = abs(s) < 1e-12 or y < 1e-12
     dy_dknee = c.neg_l1l2 * s / y if y > 0 else 0.0
     # d(theta_hip)/d(theta_knee) along the foot-below-hip constraint.
-    dhip_dknee = c.neg_l2 * (c.l2 + c.l1 * cos_k) / (y * y)
+    y2 = y * y
+    dhip_dknee = c.neg_l2 * (c.l2 + c.l1 * cos_k) / y2 if y2 != 0.0 else 0.0
     return dy_dknee, dhip_dknee, singular
 
 

@@ -9,7 +9,6 @@ audit, and the torque-speed trace against the admissible operating region
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,16 +121,12 @@ def average_saturation_ratio(log, w: StanceWindow) -> float:
 def foot_clearance(log) -> tuple[float, float]:
     """Initial and maximum foot-end height over the log.
 
-    Logs that never leave stance get h_r_max = h_r_init with a warning.
+    A stance record's foot is pinned at exactly 0.0, so a log that never
+    leaves stance gives h_r_max = h_r_init.
     """
     if not log.records:
         raise ValueError("empty log")
-    h_init = log.records[0].y_foot
-    h_max = max(r.y_foot for r in log.records)
-    if all(r.phase == "stance" for r in log.records):
-        warnings.warn("log has no flight phase; foot clearance equals its initial value")
-        return h_init, h_init
-    return h_init, h_max
+    return log.records[0].y_foot, max(r.y_foot for r in log.records)
 
 
 @dataclass(frozen=True)

@@ -192,15 +192,13 @@ class TestFlightSegment:
 
     def test_legacy_form_disagreement_is_flagged(self, physical):
         # The legacy amplitude-sum form does not match the two-mass
-        # integration; the cycle records the discrepancy and the trajectory
-        # uses the dynamics-consistent segment.
-        cycle = TrajectoryCycle(physical)
-        ls = cycle.lift
+        # integration, which is why the trajectory uses the
+        # dynamics-consistent segment.
+        ls = analytic.lift_state(physical)
         t_f_s, t_f_e = analytic.flight_window(physical, ls)
         legacy_mid = analytic.flight_position(0.5 * (t_f_s + t_f_e), physical, ls)
         y_num, _ = integrate_flight_ode(physical, ls, 0.5 * analytic.relative_period(physical))
         assert abs(legacy_mid - y_num) > 1e-4
-        assert cycle.flight_form_discrepancy > 1e-4
 
     def test_zero_rate_lift_amplitude(self, physical):
         p = physical

@@ -3,11 +3,11 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hopsim import analytic, cli, metrics, model, sim
 from hopsim.cli import RunConfig, main, parse_config
@@ -185,16 +185,35 @@ ANY_HOPPER_FIELD = st.tuples(
 )
 
 
+def _physical_hopper_with(name, value):
+    return example(values=asdict(model.HopperParams()), arbitrary=(name, value))
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=HOPPER_VALUES, arbitrary=st.none() | ANY_HOPPER_FIELD)
+# an infinite flight frequency (k_s) or amplitude (m, k_s): without the
+# finite-constant check, leg_length raises on the first and returns inf or
+# NaN on the others
+@_physical_hopper_with("k_s", 1.7e308)
+@_physical_hopper_with("m", 1e200)
+@_physical_hopper_with("k_s", 1e-300)
+# a finite cycle whose lift-off is out of the leg's reach
+@_physical_hopper_with("y_s_neu", 1e300)
 def test_any_finite_hopper_builds_a_cycle_or_raises_hopsim_error(values, arbitrary):
+    """A cycle that builds evaluates at its switch times and inside its
+    phases without raising."""
     if arbitrary is not None:
         values[arbitrary[0]] = arbitrary[1]
     try:
         bundle = RunConfig(params=model.HopperParams(**values)).validated()
-        analytic.TrajectoryCycle(bundle.params)
+        cycle = analytic.TrajectoryCycle(bundle.params)
     except HopsimError:
-        pass
+        return
+    mid_flight = 0.5 * (cycle.t_lo + cycle.touchdown_time)
+    for t in (0.0, cycle.t_lo, mid_flight, cycle.touchdown_time,
+              math.nextafter(cycle.period, 0.0)):
+        cycle.y_des(t)
+        cycle.y_des_rate(t)
 
 
 def accepted_values(cls):
@@ -388,13 +407,14 @@ class TestCmdRun:
     @pytest.mark.parametrize(
         "line",
         [
-            "C_amp = 1e300", "y_s_neu = 1e300", "g = 1e300", "k_s = 1e-300", "m = 1e200",
+            "C_amp = 1e300", "g = 1e300", "k_s = 1e-300", "m = 1e200",
             "k_s = 5e-324", "k_s = 1.7e308", "m = 5e-324",
         ],
     )
     def test_extreme_hopper_value_is_one_error_line(self, tmp_path, capsys, command, line):
         # finite values that validate accepts but the closed forms cannot
-        # compute: overflow, a math domain error, a zero hop period
+        # compute: overflow, an infinite constant, a period that is zero or
+        # infinite
         cfg = write(tmp_path, f"[run]\npreset = physical-force\n[hopper]\n{line}\n")
         out = tmp_path / "o"
         other = ["--preset", "physical-position"] if command == "compare" else []
@@ -404,6 +424,33 @@ class TestCmdRun:
         assert len(err) == 1, err
         assert err[0].startswith("error: invalid parameters: hopper: the closed-form hop cycle")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "traj", "compare"])
+    def test_lift_off_out_of_reach_is_an_unreachable_trajectory(
+        self, tmp_path, capsys, command
+    ):
+        # a finite cycle whose lift-off length is far beyond the leg's reach,
+        # the same outcome as the paper-literal preset's
+        cfg = write(tmp_path, "[run]\npreset = physical-force\n[hopper]\ny_s_neu = 1e300\n")
+        out = tmp_path / "o"
+        other = ["--preset", "physical-position"] if command == "compare" else []
+        code = main([command, "--config", str(cfg), *other, "--out", str(out)])
+        assert "error:" not in capsys.readouterr().err
+        unreachable = "aborted: desired trajectory unreachable on 101 ticks"
+        if command == "run":
+            assert code == 2
+            assert (out / "status.txt").read_text().startswith(unreachable)
+        elif command == "traj":
+            assert code == 0
+            assert (out / "traj.csv").exists()
+        else:
+            assert code == 0
+            status_row = next(
+                line for line in (out / "compare.csv").read_text().splitlines()
+                if line.startswith("status,")
+            )
+            _, a, b, _ = status_row.split(",", 3)
+            assert a.startswith(unreachable) and b == "ok"
 
     @pytest.mark.parametrize("command", ["run", "compare", "traj", "aor"])
     @pytest.mark.parametrize(

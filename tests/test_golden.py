@@ -665,14 +665,17 @@ def reference_inverse_kinematics(y, geo):
 
 
 def reference_leg_jacobian(js, geo):
-    """kinematics.leg_jacobian as first written, kept as the oracle."""
+    """kinematics.leg_jacobian as first written, plus the zero-length guard
+    on dhip_dknee, kept as the oracle."""
     y = math.sqrt(
         geo.L1**2 + geo.L2**2 + 2.0 * geo.L1 * geo.L2 * math.cos(js.theta_knee)
     )
     s = math.sin(js.theta_knee)
     singular = abs(s) < 1e-12 or y < 1e-12
     dy_dknee = -geo.L1 * geo.L2 * s / y if y > 0 else 0.0
-    dhip_dknee = -geo.L2 * (geo.L2 + geo.L1 * math.cos(js.theta_knee)) / (y * y)
+    dhip_dknee = (
+        -geo.L2 * (geo.L2 + geo.L1 * math.cos(js.theta_knee)) / (y * y) if y * y != 0.0 else 0.0
+    )
     return LegJacobian(0.0, dy_dknee, dhip_dknee, singular)
 
 

@@ -147,3 +147,14 @@ def test_joint_rates_match_leg_rate():
     jac = kinematics.leg_jacobian(JointState(theta_knee=th_k), GEO)
     assert jac.dy_dknee * thd_k == pytest.approx(v_leg, rel=1e-12)
     assert thd_h == pytest.approx(jac.dhip_dknee * thd_k, rel=1e-12)
+
+
+def test_zero_length_leg_is_singular_with_zero_terms():
+    # equal links folded flat: the leg length is exactly 0
+    geo = LegGeometry(L1=0.4, L2=0.4)
+    assert kinematics.leg_length(math.pi, geo) == 0.0
+    jac = kinematics.leg_jacobian(JointState(theta_knee=math.pi), geo)
+    assert jac == kinematics.LegJacobian(0.0, 0.0, 0.0, True)
+    assert kinematics.joint_rates(math.pi, 1.0, geo) == (0.0, 0.0)
+    assert kinematics.task_force(1.0, -1.0, math.pi, geo) == 0.0
+    assert kinematics.knee_torque_for_force(5.0, math.pi, geo) == 0.0

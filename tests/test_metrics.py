@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -95,11 +96,11 @@ class TestAverageSaturationRatio:
 
 
 class TestFootClearance:
-    def test_stance_only_warns(self):
+    def test_stance_only_gives_initial_height(self):
         log = TelemetryLog(records=[make_record(t=0.01 * i) for i in range(10)])
-        with pytest.warns(UserWarning):
-            h0, hmax = metrics.foot_clearance(log)
-        assert (h0, hmax) == (0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metrics.foot_clearance(log) == (0.0, 0.0)
 
     def test_synthetic_peak(self):
         # extraction fixture: a flight arc peaking at 0.38
