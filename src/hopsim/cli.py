@@ -384,13 +384,17 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
 
     Each run's files land in a per-run subdirectory; the comparison table is
     written both as CSV (machine-readable) and plain text.  A side that
-    aborts is marked failed while the other side is still reported.
+    aborts is marked failed while the other side is still reported.  Both
+    sides are checked before either runs, so invalid input writes no file.
     """
     out = Path(config_a.out)
     overlay = config_a.plots or config_b.plots
+    setups = [cfg.resolve() for cfg in (config_a, config_b)]
+    for setup in setups:  # builds the trajectory cycle, the last input check
+        sim.CONTROLLERS[setup.controller](setup.bundle)
     results, outputs = [], []
-    for label, cfg in (("a", config_a), ("b", config_b)):
-        result = sim.run(cfg.resolve())
+    for label, cfg, setup in zip("ab", (config_a, config_b), setups):
+        result = sim.run(setup)
         sub = out / f"{label}-{cfg.controller}"
         outputs.append(_emit_run_files(sub, result, cfg.plots, overlay))
         results.append(result)

@@ -110,7 +110,7 @@ class _TrajectoryController:
     length, so the push always starts from the depth actually reached.
     """
 
-    force_law = None  # commands are held over a tick, not a continuous law
+    force_law = None  # the plant holds this controller's torques over a tick
 
     def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):
         self.params = p
@@ -225,9 +225,9 @@ class VirtualSpringController:
     The task force k_s*(y_s_neu - y) + m*g makes the closed-loop stance
     dynamics exactly the analytic stance oscillator, which is what the
     integration-accuracy and energy-audit oracles check against.  The force
-    is carried by the knee alone and is evaluated continuously inside the
-    integrator stages (no zero-order hold), so the closed loop has no
-    discretization of the command itself.
+    is carried by the knee alone.  ``force_law`` reads the leg length alone,
+    and the plant evaluates it inside the integrator stages (no zero-order
+    hold), so the closed loop has no discretization of the command itself.
 
     Its lift-off is not the model's.  The feedforward's reaction pushes the
     foot down with m*g as well, so the stance pin force m_e*g + force
@@ -243,7 +243,7 @@ class VirtualSpringController:
         self.geometry = geo
         self.motor = motor
 
-    def force_law(self, y_rel: float, v_rel: float) -> float:
+    def force_law(self, y_rel: float) -> float:
         p = self.params
         return p.k_s * (p.y_s_neu - y_rel) + p.m * p.g
 
@@ -251,7 +251,7 @@ class VirtualSpringController:
         pass
 
     def command(self, state) -> JointCommands:
-        force = self.force_law(state.y_body - state.y_foot, state.v_body - state.v_foot)
+        force = self.force_law(state.y_body - state.y_foot)
         tau_k = kinematics.knee_torque_for_force(
             force, state.joints.theta_knee, self.geometry
         )

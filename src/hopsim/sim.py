@@ -9,16 +9,18 @@ located by linear interpolation within a step.
 
 Each tick of :func:`run` goes command -> record -> plant -> landings ->
 clock, and :func:`run` makes every controller call.  The plant,
-:func:`_advance_tick`, calls none: it steps the plant and locates events,
-evaluating each distinct leg configuration once.  The force evaluated at the
-state after a substep is that step's post-step pin force and the next
-substep's stage-1 force and pre-step pin force; the last evaluation of a
-tick also gives the joint state recorded for it, and its leg terms ride on
-the returned state into the next tick, whose first force differs only in
-the held torques.  Only the stage 2-4 states of each RK4 step, the state
-after an event, and the start state of a run are evaluated afresh.  The
-reuse changes no floating-point operation, so telemetry is byte-identical
-to evaluating every configuration each time it is needed.
+:func:`_advance_tick`, calls none: it builds its force evaluation from the
+tick's held command or the controller's continuous force law (a function of
+the leg length alone), steps the plant and locates events, evaluating each
+distinct leg configuration once.  The force evaluated at the state after a
+substep is that step's post-step pin force and the next substep's stage-1
+force and pre-step pin force; the last evaluation of a tick also gives the
+joint state recorded for it, and its leg terms ride on the returned state
+into the next tick, whose first force differs only in the held torques.
+Only the stage 2-4 states of each RK4 step, the state after an event, and
+the start state of a run are evaluated afresh.  The reuse changes no
+floating-point operation, so telemetry is byte-identical to evaluating
+every configuration each time it is needed.
 
 The module also provides :class:`TwoMassReference`, an RK4-plus-events
 integration of the ideal two-mass model itself (the dynamics the closed-form
@@ -226,32 +228,6 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
     return yb, vb, yf, vf
 
 
-def _plant_law(
-    cmd: control.JointCommands, law: Callable[[float, float], float] | None, geo: LegGeometry
-):
-    """The plant's force evaluation: (y_rel, v_rel) -> (task force, leg terms).
-
-    Held joint torques map to the task force through the leg terms at the
-    configuration, which are returned with the force so the caller can reuse
-    them for the joint state.  A caller that already holds the leg terms at
-    ``y_rel`` passes them in and they are not evaluated again.  A continuous
-    ``law`` reads no leg terms and returns None in their place.
-    """
-    if law is not None:
-        return lambda y_rel, v_rel, terms=None: (law(y_rel, v_rel), None)
-    tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
-
-    def held(y_rel, v_rel, terms=None):
-        if terms is None:
-            terms = _leg_terms(y_rel, geo)
-        dy_dknee = terms[1]
-        if dy_dknee == 0.0:
-            return 0.0, terms
-        return (tau_k + tau_h * terms[2]) / dy_dknee, terms
-
-    return held
-
-
 # --- RK4 sub-steps ---------------------------------------------------------
 
 
@@ -265,11 +241,11 @@ def _rk4_stance(y, v, f, dt, p: HopperParams, law):
     h = 0.5 * dt
     a1 = -g + f * inv_m
     y2, v2 = y + h * v, v + h * a1
-    a2 = -g + law(y2, v2)[0] * inv_m
+    a2 = -g + law(y2)[0] * inv_m
     y3, v3 = y + h * v2, v + h * a2
-    a3 = -g + law(y3, v3)[0] * inv_m
+    a3 = -g + law(y3)[0] * inv_m
     y4, v4 = y + dt * v3, v + dt * a3
-    a4 = -g + law(y4, v4)[0] * inv_m
+    a4 = -g + law(y4)[0] * inv_m
     dt6 = dt / 6.0
     y_n = y + dt6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
     v_n = v + dt6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -289,15 +265,15 @@ def _rk4_flight(yb, vb, yf, vf, f, dt, p: HopperParams, law):
     ab1, af1 = -g + f * inv_m, -g - f * inv_me
     yb2, vb2 = yb + h * vb, vb + h * ab1
     yf2, vf2 = yf + h * vf, vf + h * af1
-    f = law(yb2 - yf2, vb2 - vf2)[0]
+    f = law(yb2 - yf2)[0]
     ab2, af2 = -g + f * inv_m, -g - f * inv_me
     yb3, vb3 = yb + h * vb2, vb + h * ab2
     yf3, vf3 = yf + h * vf2, vf + h * af2
-    f = law(yb3 - yf3, vb3 - vf3)[0]
+    f = law(yb3 - yf3)[0]
     ab3, af3 = -g + f * inv_m, -g - f * inv_me
     yb4, vb4 = yb + dt * vb3, vb + dt * ab3
     yf4, vf4 = yf + dt * vf3, vf + dt * af3
-    f = law(yb4 - yf4, vb4 - vf4)[0]
+    f = law(yb4 - yf4)[0]
     ab4, af4 = -g + f * inv_m, -g - f * inv_me
     dt6 = dt / 6.0
     yb_n = yb + dt6 * (vb + 2.0 * vb2 + 2.0 * vb3 + vb4)
@@ -459,10 +435,9 @@ def run(setup: RunSetup) -> RunResult:
                     f"(limit {MAX_IK_FAILURES})"
                 )
 
-        law = _plant_law(cmd, controller.force_law, geo)
         seen = len(log.events)
         try:
-            state = _advance_tick(state, law, dt_sub, n_sub, p, geo, log)
+            state = _advance_tick(state, cmd, controller.force_law, dt_sub, n_sub, p, geo, log)
         except SimulationAbort as exc:
             return abort(str(exc))
         touchdown = None  # the tick's last landing
@@ -483,19 +458,36 @@ def run(setup: RunSetup) -> RunResult:
     return RunResult(log, setup)
 
 
-def _advance_tick(state, law, dt_sub, n_sub, p, geo, log) -> SimState:
-    """Integrate one control tick of ``n_sub`` substeps under held commands.
+def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState:
+    """Integrate one control tick of ``n_sub`` substeps under ``cmd``, held.
 
-    Each substep is one RK4 step of the active phase from the force at its
-    start state, then the leg stops.  Phase events found inside a substep
-    are appended to ``log.events`` and the rest of the substep is integrated
-    in the new phase.  Returns the end state, carrying its leg terms for the
-    next tick to start from (None under a continuous force law).
+    Held torques map to the task force through the leg terms at the leg
+    length, which are returned with it for reuse; a continuous ``force_law``
+    (not None) replaces them and reads no leg terms.  Each substep is one
+    RK4 step of the active phase from the force at its start state, then the
+    leg stops.  Phase events found inside a substep are appended to
+    ``log.events`` and the rest of the substep is integrated in the new
+    phase.  Returns the end state, carrying its leg terms for the next tick
+    to start from (None under a continuous force law).
     """
+    if force_law is None:
+        tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
+
+        def law(y_rel, terms=None):
+            if terms is None:
+                terms = _leg_terms(y_rel, geo)
+            dy_dknee = terms[1]
+            if dy_dknee == 0.0:
+                return 0.0, terms
+            return (tau_k + tau_h * terms[2]) / dy_dknee, terms
+    else:
+        def law(y_rel, terms=None):
+            return force_law(y_rel), None
+
     t, phase = state.t, state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
     weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
-    f, terms = law(yb - yf, vb - vf, state.terms)
+    f, terms = law(yb - yf, state.terms)
 
     for _ in range(n_sub):
         dt_left = dt_sub
@@ -510,7 +502,7 @@ def _advance_tick(state, law, dt_sub, n_sub, p, geo, log) -> SimState:
             if not (math.isfinite(nyb) and math.isfinite(nvb)
                     and math.isfinite(nyf) and math.isfinite(nvf)):
                 raise SimulationAbort(f"non-finite state at t={t + dt_left:.6f}")
-            nf, nterms = law(nyb - nyf, nvb - nvf)
+            nf, nterms = law(nyb - nyf)
             tr = None
             if events_seen < _MAX_EVENTS_PER_STEP:
                 # _crossing reads the pin forces only in stance.
@@ -536,7 +528,7 @@ def _advance_tick(state, law, dt_sub, n_sub, p, geo, log) -> SimState:
             log.events.append(Event(kind, t_ev, yb, vb))
             dt_left -= frac * dt_left
             t = t_ev
-            f, terms = law(yb - yf, vb - vf)
+            f, terms = law(yb - yf)
 
     joints = _joints_from(terms if terms is not None else _leg_terms(yb - yf, geo), vb - vf, geo)
     return SimState(t, phase, yb, vb, yf, vf, joints, terms)

@@ -625,6 +625,29 @@ class TestCmdCompare:
         assert code == 0
         assert calls == ["force", "position"]
 
+    @pytest.mark.parametrize("bad_side", ["a", "b"])
+    @pytest.mark.parametrize(
+        ("lines", "reason"),
+        [
+            # fails in the trajectory cycle build
+            ("[hopper]\nC_amp = 1e300", "invalid parameters: hopper: the closed-form hop cycle"),
+            # fails in resolve
+            ("control_rate = 0", "control_rate must be positive and finite"),
+        ],
+        ids=["cycle", "resolve"],
+    )
+    def test_invalid_side_writes_no_file(self, tmp_path, capsys, bad_side, lines, reason):
+        cfg = write(tmp_path, f"[run]\npreset = physical-force\n{lines}\n")
+        sources = [["--config", str(cfg)], ["--preset", "physical-force"]]
+        if bad_side == "b":
+            sources.reverse()
+        out = tmp_path / "o"
+        code = main(["compare", *sources[0], *sources[1], "--hops", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {reason}"), err
+        assert not out.exists()
+
     def test_requires_two_sources(self, tmp_path, capsys):
         code = main(["compare", "--preset", "physical-force", "--out", str(tmp_path)])
         assert code == 1

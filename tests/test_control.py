@@ -217,7 +217,7 @@ class TestVirtualSpring:
         p = b.params
         for y in (0.30, 0.40, 0.45, 0.50):
             expected = p.k_s * (p.y_s_neu - y) + p.m * p.g
-            assert ctrl.force_law(y, 0.0) == pytest.approx(expected, rel=1e-12)
+            assert ctrl.force_law(y) == pytest.approx(expected, rel=1e-12)
 
     def test_command_maps_force_to_knee(self, bundle_oracle):
         b = bundle_oracle
@@ -225,7 +225,7 @@ class TestVirtualSpring:
         state = sim.initial_state(sim.RunSetup(bundle=b, controller="spring", hops=1))
         cmd = ctrl.command(state)
         assert cmd.hip.tau_des == 0.0
-        force = ctrl.force_law(state.y_body, 0.0)
+        force = ctrl.force_law(state.y_body)
         from hopsim import kinematics
 
         expected = kinematics.knee_torque_for_force(

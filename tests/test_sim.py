@@ -34,10 +34,10 @@ ZERO_TORQUE = control.JointCommands(
 def advance(state, n_sub, dt, bundle, force_law=None):
     """``n_sub`` plant substeps under zero held torques (or a continuous
     ``force_law``) through the run loop's tick; returns the state and log."""
-    geo = bundle.geometry
-    law = sim._plant_law(ZERO_TORQUE, force_law, geo)
     log = sim.TelemetryLog()
-    state = sim._advance_tick(state, law, dt, n_sub, bundle.params, geo, log)
+    state = sim._advance_tick(
+        state, ZERO_TORQUE, force_law, dt, n_sub, bundle.params, bundle.geometry, log
+    )
     return state, log
 
 
@@ -134,7 +134,7 @@ class TestPinForceLiftEquivalence:
         # m_e*g/k_s + y_s_neu: the ground force is m_e*g minus the spring pull.
         b = bundle_oracle
         p = b.params
-        law = lambda y_rel, v_rel: p.k_s * (p.y_s_neu - y_rel)
+        law = lambda y_rel: p.k_s * (p.y_s_neu - y_rel)
         state = make_state(HopPhase.STANCE, analytic.stance_position(0.0, p), 0.0, 0.0, 0.0)
         # one substep per call, so the loop stops on the first event
         for _ in range(40000):

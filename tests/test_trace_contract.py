@@ -7,7 +7,8 @@ runs the traced child on 1-hop runs so such a change fails here first.  The
 second run is shaped like the ``fine_dt_force`` workload: ten substeps per
 tick, then the two-mass reference, whose first lift the benchmark checks.
 The third drives the position controller, whose ``command`` is wrapped on
-its own class.
+its own class.  A plotted ``compare`` of the two, the benchmark's main
+command, is traced as well.
 """
 
 import json
@@ -21,19 +22,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    ("preset", "flags", "reference"),
-    [
-        ("physical-force", [], None),
-        ("physical-force", ["--dt", "2.5e-5"], {"dt": 2.5e-5, "hops": 1}),
-        ("physical-position", [], None),
-    ],
-    ids=["run", "fine_dt_reference", "position"],
-)
-def test_traced_child_counts_plant_calls(tmp_path, preset, flags, reference):
+def traced_child(tmp_path, argv, reference=None):
+    """Run the benchmark's traced child on a hopsim CLI argv; its result."""
     spec = {
-        "argv": ["run", "--preset", preset, "--hops", "1", *flags,
-                 "--out", str(tmp_path / "out")],
+        "argv": argv,
         "trace": True,
         "reference": reference,
         "result": str(tmp_path / "child.json"),
@@ -49,7 +41,21 @@ def test_traced_child_counts_plant_calls(tmp_path, preset, flags, reference):
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads((tmp_path / "child.json").read_text())
+    return json.loads((tmp_path / "child.json").read_text())
+
+
+@pytest.mark.parametrize(
+    ("preset", "flags", "reference"),
+    [
+        ("physical-force", [], None),
+        ("physical-force", ["--dt", "2.5e-5"], {"dt": 2.5e-5, "hops": 1}),
+        ("physical-position", [], None),
+    ],
+    ids=["run", "fine_dt_reference", "position"],
+)
+def test_traced_child_counts_plant_calls(tmp_path, preset, flags, reference):
+    argv = ["run", "--preset", preset, "--hops", "1", *flags, "--out", str(tmp_path / "out")]
+    result = traced_child(tmp_path, argv, reference)
     assert result["rc"] == 0 and result["runs"] == 1
     counts = result["trace"]["counts"]
     for name in ("sim.leg_terms", "sim.substeps", "sim.landing_scans", "control.make_command"):
@@ -69,3 +75,20 @@ def test_traced_child_counts_plant_calls(tmp_path, preset, flags, reference):
         assert spans.get("sim.reference", [0])[0] == 1
         ref = result["reference"]
         assert abs(ref["first_lift"] - ref["t_lo"]) <= 1e-6
+
+
+def test_traced_child_counts_plotted_compare(tmp_path):
+    # the benchmark's main command: both sides, their files and the overlays
+    argv = ["compare", "--preset", "physical-force", "--preset", "physical-position",
+            "--hops", "1", "--plots", "--out", str(tmp_path / "out")]
+    result = traced_child(tmp_path, argv)
+    assert result["rc"] == 0 and result["runs"] == 2
+    spans = result["trace"]["spans"]
+    for name in ("sim.run", "metrics.summarize", "cli.to_csv"):
+        assert spans[name][0] == 2, name
+    # five files per side, then compare.csv, compare.txt and three overlays
+    assert spans["svg.plot"][0] == 7
+    assert spans["cli.write"][0] == 15
+    assert spans["sim.plant"][0] > 0
+    # analytic.cycle_build is not pinned: compare also builds each side's
+    # controller to check its input before either side runs
