@@ -257,6 +257,15 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
+def _check_out_dirs(*dirs: Path) -> None:
+    """Reject output directories that cannot be made because they name a
+    file or a path under one; called before any run, it writes nothing."""
+    for d in dirs:
+        existing = next((p for p in (d, *d.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ConfigError(f"cannot write to {str(d)!r}: {str(existing)!r} is not a directory")
+
+
 def _median_interval(times: list[float]) -> float | None:
     """Median gap between successive times: the middle gap of an odd count,
     the mean of the two middle gaps of an even one."""
@@ -361,8 +370,10 @@ def _emit_run_files(
 def cmd_run(config: RunConfig) -> int:
     """Execute one run and write run.csv, summary.csv, status.txt (and plots)."""
     setup = config.resolve()
+    out = Path(config.out)
+    _check_out_dirs(out)
     result = sim.run(setup)
-    _emit_run_files(Path(config.out), result, config.plots)
+    _emit_run_files(out, result, config.plots)
     if not result.ok:
         print(f"run aborted: {result.log.failure}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -392,10 +403,11 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     setups = [cfg.resolve() for cfg in (config_a, config_b)]
     for setup in setups:  # builds the trajectory cycle, the last input check
         sim.CONTROLLERS[setup.controller](setup.bundle)
+    subs = [out / f"{label}-{cfg.controller}" for label, cfg in zip("ab", (config_a, config_b))]
+    _check_out_dirs(*subs)
     results, outputs = [], []
-    for label, cfg, setup in zip("ab", (config_a, config_b), setups):
+    for cfg, setup, sub in zip((config_a, config_b), setups, subs):
         result = sim.run(setup)
-        sub = out / f"{label}-{cfg.controller}"
         outputs.append(_emit_run_files(sub, result, cfg.plots, overlay))
         results.append(result)
     sa, sb = (o.summary for o in outputs)
@@ -440,10 +452,11 @@ def cmd_traj(config: RunConfig) -> int:
             f"control_rate={setup.control_rate!r} asks for more than {sim.MAX_TICKS} "
             f"trajectory rows in one {cycle.period!r} s period"
         )
+    out = Path(config.out)
+    _check_out_dirs(out)
     step = 1.0 / setup.control_rate
     times = [i * step for i in range(int(cycle.period / step) + 1)]
     pts = tuple((t, cycle.y_des(t)) for t in times)  # y_des once per row, for CSV and plot
-    out = Path(config.out)
     rows = ((t, y, cycle.phase(t).value) for t, y in pts)
     write_atomic(out / "traj.csv", _csv(("t", "y_des", "phase"), rows))
     if config.plots:
@@ -458,6 +471,7 @@ def cmd_aor(config: RunConfig) -> int:
     """Emit the admissible operating region boundary as CSV (and SVG)."""
     curve = metrics.aor_curve(config.validated().motor)
     out = Path(config.out)
+    _check_out_dirs(out)
     write_atomic(out / "aor.csv", _csv(("speed", "torque"), curve.points))
     if config.plots:
         _plot(

@@ -127,7 +127,10 @@ def line_plot(
 
     for i, s in enumerate(series):
         color = s.color or PALETTE[i % len(PALETTE)]
-        pts = " ".join(["%.2f,%.2f" % (tx(x), ty(y)) for x, y in s.points])
+        pts = " ".join(
+            ["%.2f,%.2f" % (ml + (x - x0) / xspan * pw, mt + ph - (y - y0) / yspan * ph)
+             for x, y in s.points]
+        )
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"{dash}/>'

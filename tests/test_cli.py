@@ -703,6 +703,38 @@ class TestCmdTrajAor:
             assert name in out
 
 
+@pytest.mark.parametrize(
+    ("command", "case"),
+    [(c, case) for c in ("run", "compare", "traj", "aor") for case in ("file", "under-file")]
+    + [("compare", "side-file")],
+)
+def test_out_on_a_file_is_one_error_line_before_any_run(
+    tmp_path, capsys, monkeypatch, command, case
+):
+    # these crashed after the simulation had run: FileExistsError for a
+    # file, NotADirectoryError for a path under one
+    taken = tmp_path / "taken"
+    if case == "side-file":  # compare's side-a directory is a file
+        taken.mkdir()
+        (taken / "a-force").write_text("keep\n")
+    else:
+        taken.write_text("keep\n")
+    out = taken / "x" if case == "under-file" else taken
+
+    def no_run(setup):
+        raise AssertionError("sim.run called before the output directory was checked")
+
+    monkeypatch.setattr(sim, "run", no_run)
+    sources = ["--preset", "physical-force"] * (2 if command == "compare" else 1)
+    code = main([command, *sources, "--hops", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write to "), err
+    assert err[0].endswith("is not a directory"), err
+    files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert files == (["taken", "taken/a-force"] if case == "side-file" else ["taken"])
+
+
 class TestWriteAtomic:
     def test_writes_text_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "sub" / "run.csv"

@@ -15,13 +15,16 @@ digests before the CLI was derived from the dataclasses.  A change that is meant
 any output file must regenerate them on purpose and say so.
 """
 
+import errno
 import hashlib
 import math
 import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -406,6 +409,145 @@ def test_stream_that_raises_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError, match="formatting failed"):
         cli.write_atomic(tmp_path / "run.csv", chunks())
     assert os.listdir(tmp_path) == []
+
+
+SHARE = sim._CSV_SHARE_MIN_ROWS
+
+
+def usable_cpus(monkeypatch, n):
+    """Make ``to_csv`` see ``n`` usable CPUs; the list of pids it forks."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_and_no_new_fd(fds_before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+# sizes just below, at and above the fork threshold (two shares), then logs
+# whose split points fall on a block edge, one row past it and mid-block
+@pytest.mark.parametrize(
+    ("cpus", "n", "splits"),
+    [
+        (2, 2 * SHARE - 1, []),
+        (2, 2 * SHARE, [SHARE]),
+        (2, 2 * SHARE + 1, [SHARE]),
+        (2, 2 * SHARE + 3, [SHARE + 1]),
+        (2, 5 * CHUNK + 1, [640]),
+        (3, 3 * SHARE - 1, [767]),  # too few rows for three shares
+        (3, 3 * SHARE, [SHARE, 2 * SHARE]),
+        (3, 3 * SHARE + 2, [SHARE, 2 * SHARE + 1]),
+        (8, 3 * SHARE + 2, [SHARE, 2 * SHARE + 1]),
+    ],
+)
+def test_forked_csv_equal_to_per_field_join(monkeypatch, cpus, n, splits):
+    forks = usable_cpus(monkeypatch, cpus)
+    assert sim._csv_bounds(n) == [0, *splits, n]
+    log = sim.TelemetryLog(records=special_records(n))
+    assert "".join(log.to_csv()) == reference_to_csv(log)
+    assert len(forks) == len(splits)
+
+
+def no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def failing_fork(monkeypatch):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("setup", [no_fork, failing_fork, None], ids=["no-fork", "fork-fails", "fork"])
+def test_csv_without_helpers_equal_to_per_field_join(monkeypatch, cpus, setup):
+    # one CPU, no os.fork, or a fork that fails: formatted in-process
+    forks = usable_cpus(monkeypatch, cpus)
+    if setup is not None:
+        setup(monkeypatch)
+    log = sim.TelemetryLog(records=special_records(2 * SHARE + 1))
+    chunks = list(log.to_csv())
+    assert "".join(chunks) == reference_to_csv(log)
+    assert len(forks) == (1 if setup is None and cpus == 2 else 0)
+    if not forks:
+        assert len(chunks) == 1 + math.ceil((2 * SHARE + 1) / CHUNK)
+
+
+def test_csv_forks_no_helper_while_another_thread_runs(monkeypatch):
+    forks = usable_cpus(monkeypatch, 2)
+    log = sim.TelemetryLog(records=special_records(2 * SHARE))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        text = "".join(log.to_csv())
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert text == reference_to_csv(log)
+    assert forks == []
+
+
+def test_closing_forked_csv_early_leaves_no_helper(monkeypatch):
+    fds = len(os.listdir("/proc/self/fd"))
+    forks = usable_cpus(monkeypatch, 3)
+    log = sim.TelemetryLog(records=special_records(3 * SHARE))
+    chunks = log.to_csv()
+    assert next(chunks) == log.csv_header() + "\n"
+    assert len(forks) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        chunks.close()
+        del chunks
+    assert [w for w in caught if w.category is ResourceWarning] == []  # temp files closed
+    assert_no_child_and_no_new_fd(fds)
+
+
+class ReprFails(float):
+    def __repr__(self):
+        raise ValueError("no repr")
+
+
+@pytest.mark.parametrize("row", [SHARE, 2 * SHARE - 1], ids=["first", "last"])
+def test_failing_helper_leaves_no_file_and_no_helper(monkeypatch, tmp_path, row):
+    fds = len(os.listdir("/proc/self/fd"))
+    forks = usable_cpus(monkeypatch, 2)
+    rows = special_records(2 * SHARE)
+    rows[row] = rows[row]._replace(y_body=ReprFails(1.0))  # in the helper's share
+    with pytest.raises(RuntimeError, match=f"CSV helper for rows {SHARE}:{2 * SHARE} failed"):
+        cli.write_atomic(tmp_path / "run.csv", sim.TelemetryLog(records=rows).to_csv())
+    assert len(forks) == 1
+    assert os.listdir(tmp_path) == []
+    assert_no_child_and_no_new_fd(fds)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_writing_forked_csv_holds_one_read_not_the_log(tmp_path, monkeypatch, cpus):
+    forks = usable_cpus(monkeypatch, cpus)
+    log = sim.TelemetryLog(records=special_records(12_001))
+    target = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        cli.write_atomic(target, log.to_csv())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == cpus - 1
+    assert peak < 0.5e6, peak
+    assert target.read_text() == reference_to_csv(log)
 
 
 # --- SVG polyline -------------------------------------------------------------
