@@ -23,7 +23,7 @@ floating-point operation, so telemetry is byte-identical to evaluating
 every configuration each time it is needed.
 
 :meth:`TelemetryLog.to_csv` streams the log as CSV text and formats it on
-every usable CPU.  From 1024 rows on (two ``_CSV_SHARE_MIN_ROWS`` shares), on
+every usable CPU.  From 4096 rows on (two ``_CSV_SHARE_MIN_ROWS`` shares), on
 a host with more than one usable CPU, it forks one helper per extra CPU;
 each formats a tail share of the rows into an unlinked temp file while the
 calling process formats the head, and no helper outlives the generator.
@@ -103,9 +103,14 @@ _CSV_LINE = ",".join("%s" if name == "phase" else "%r" for name in Record._field
 _CSV_CHUNK_ROWS = 256
 # Fewest rows a process formats when ``to_csv`` splits a log.  Forking a
 # helper, reaping it and copying its file back cost about 3 ms on a 2-vCPU
-# Xeon at 2.0 GHz, the time to format about 200 rows.  A share of 512 rows
-# takes about 2.5 times that, so a log forks only from 1024 rows on.
-_CSV_SHARE_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
+# Xeon at 2.0 GHz, the time to format about 200 rows, but a helper gains
+# only while another CPU is free.  With the other CPU busy, a forked write
+# of 2000 to 6000 rows was no faster than one in-process and its 90th
+# percentile up to 6 ms slower, so for a short log the split mostly makes
+# the write time hang on what else the host runs.  A log therefore forks
+# only from 4096 rows on; at 12k rows a free CPU cuts the write by about a
+# third (≈230 to ≈140 ms) and a busy one still does not slow it.
+_CSV_SHARE_MIN_ROWS = 8 * _CSV_CHUNK_ROWS
 # Characters per read when ``to_csv`` copies a helper's file back.
 _CSV_READ_CHARS = 1 << 16
 

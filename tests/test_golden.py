@@ -444,8 +444,8 @@ def assert_no_child_and_no_new_fd(fds_before):
         (2, 2 * SHARE, [SHARE]),
         (2, 2 * SHARE + 1, [SHARE]),
         (2, 2 * SHARE + 3, [SHARE + 1]),
-        (2, 5 * CHUNK + 1, [640]),
-        (3, 3 * SHARE - 1, [767]),  # too few rows for three shares
+        (2, 2 * SHARE + CHUNK + 1, [SHARE + CHUNK // 2]),
+        (3, 3 * SHARE - 1, [(3 * SHARE - 1) // 2]),  # too few rows for three shares
         (3, 3 * SHARE, [SHARE, 2 * SHARE]),
         (3, 3 * SHARE + 2, [SHARE, 2 * SHARE + 1]),
         (8, 3 * SHARE + 2, [SHARE, 2 * SHARE + 1]),
