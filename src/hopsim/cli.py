@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, get_args, get_type_hints
 
-from . import analytic, metrics, model, sim, svg
+from . import metrics, model, sim, svg
 from .errors import ConfigError, HopsimError, ParameterError
 from .model import Gains, HopperParams, LegGeometry, MotorParams
 
@@ -77,22 +77,18 @@ class RunConfig:
         """Validate and build the simulation setup; applies the default hop
         count when neither duration nor hop count was specified."""
         bundle = self.validated()
-        duration, hops = self.duration, self.hops
-        if duration is None and hops is None:
-            hops = 3
-        setup = sim.RunSetup(
-            bundle=bundle,
-            controller=self.controller,
-            duration=duration,
-            hops=hops,
-            dt=self.dt,
-            control_rate=self.control_rate,
-        )
+        hops = 3 if self.duration is None and self.hops is None else self.hops
         try:
-            sim.check_setup(setup)
-        except ValueError as exc:
+            return sim.RunSetup(
+                bundle=bundle,
+                controller=self.controller,
+                duration=self.duration,
+                hops=hops,
+                dt=self.dt,
+                control_rate=self.control_rate,
+            )
+        except ValueError as exc:  # a run knob or the closed-form cycle
             raise ConfigError(str(exc)) from exc
-        return setup
 
 
 _PRESETS = {
@@ -240,21 +236,27 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
     the iterable raises, the temp file is removed and nothing is renamed.
     The temp file is named per call (pid plus random bits) and opened with
     ``"x"``, so concurrent writers into one directory never share or clobber
-    it; the file gets the same umask-derived mode as a plain write.
+    it; the file gets the same umask-derived mode as a plain write.  An
+    ``OSError`` (a directory in the target's place, a directory that cannot
+    be made or written) becomes a ConfigError that names the target; files
+    written before it stay.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "x")  # outside the try: a name that exists is not ours to remove
     try:
-        with f:
-            if isinstance(text, str):
-                f.write(text)
-            else:
-                f.writelines(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        f = open(tmp, "x")  # outside the inner try: a name that exists is not ours to remove
+        try:
+            with f:
+                if isinstance(text, str):
+                    f.write(text)
+                else:
+                    f.writelines(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def _check_out_dirs(*dirs: Path) -> None:
@@ -264,6 +266,14 @@ def _check_out_dirs(*dirs: Path) -> None:
         existing = next((p for p in (d, *d.parents) if p.exists()), None)
         if existing is not None and not existing.is_dir():
             raise ConfigError(f"cannot write to {str(d)!r}: {str(existing)!r} is not a directory")
+
+
+def _print_warnings(*setups: sim.RunSetup) -> None:
+    """One ``warning:`` line on stderr per validation warning of each setup;
+    printed once every input check has passed, before anything runs."""
+    for setup in setups:
+        for warning in setup.bundle.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
 
 
 def _median_interval(times: list[float]) -> float | None:
@@ -372,6 +382,7 @@ def cmd_run(config: RunConfig) -> int:
     setup = config.resolve()
     out = Path(config.out)
     _check_out_dirs(out)
+    _print_warnings(setup)
     result = sim.run(setup)
     _emit_run_files(out, result, config.plots)
     if not result.ok:
@@ -401,10 +412,9 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     out = Path(config_a.out)
     overlay = config_a.plots or config_b.plots
     setups = [cfg.resolve() for cfg in (config_a, config_b)]
-    for setup in setups:  # builds the trajectory cycle, the last input check
-        sim.CONTROLLERS[setup.controller](setup.bundle)
     subs = [out / f"{label}-{cfg.controller}" for label, cfg in zip("ab", (config_a, config_b))]
     _check_out_dirs(*subs)
+    _print_warnings(*setups)
     results, outputs = [], []
     for cfg, setup, sub in zip((config_a, config_b), setups, subs):
         result = sim.run(setup)
@@ -446,7 +456,7 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
 def cmd_traj(config: RunConfig) -> int:
     """Sample the desired trajectory over one hop period to CSV."""
     setup = config.resolve()
-    cycle = analytic.TrajectoryCycle(setup.bundle.params)
+    cycle = setup.cycle
     if not cycle.period * setup.control_rate <= sim.MAX_TICKS:
         raise ConfigError(
             f"control_rate={setup.control_rate!r} asks for more than {sim.MAX_TICKS} "
@@ -454,6 +464,7 @@ def cmd_traj(config: RunConfig) -> int:
         )
     out = Path(config.out)
     _check_out_dirs(out)
+    _print_warnings(setup)
     step = 1.0 / setup.control_rate
     times = [i * step for i in range(int(cycle.period / step) + 1)]
     pts = tuple((t, cycle.y_des(t)) for t in times)  # y_des once per row, for CSV and plot

@@ -112,22 +112,21 @@ class _TrajectoryController:
 
     force_law = None  # the plant holds this controller's torques over a tick
 
-    def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):
-        self.params = p
+    def __init__(self, cycle: analytic.TrajectoryCycle, geo: LegGeometry, motor: MotorParams):
         self.geometry = geo
         self.motor = motor
-        self.cycle = analytic.TrajectoryCycle(p)
+        self.cycle = cycle
         self.t_traj = 0.0
         self._landing = None  # (amplitude, phase) of the fitted descent
         self._landing_tau = 0.0
         self._compressed = False  # leg has been seen compressing since touchdown
-        self._omega = analytic.stance_omega(p)
+        self._omega = analytic.stance_omega(cycle.params)
         # Desired lengths are capped at the leg stops.
         self._y_lo, self._y_hi = geo.constants.y_lo, geo.constants.y_hi
 
     def _ascent_phase_for_length(self, y_rel: float) -> float:
         """Canonical ascent time whose leg length matches y_rel (clamped)."""
-        p = self.params
+        p = self.cycle.params
         amp = analytic.stance_amplitude(p)
         ratio = min(1.0, max(-1.0, (p.y_s_neu - y_rel) / amp))
         return math.acos(ratio) / self._omega
@@ -137,7 +136,7 @@ class _TrajectoryController:
         descent to ``touchdown``, the tick's last landing (foot at rest at 0)."""
         if touchdown is not None:
             w = self._omega
-            dy, v_td = touchdown.y_body - self.params.y_s_neu, touchdown.v_body
+            dy, v_td = touchdown.y_body - self.cycle.params.y_s_neu, touchdown.v_body
             self._landing = (math.hypot(dy, v_td / w), math.atan2(-v_td / w, dy))
             self._landing_tau = 0.0
             self._compressed = v_td < 0.0
@@ -163,7 +162,7 @@ class _TrajectoryController:
             w = self._omega
             # Hold the fitted bottom if the actual leg is still compressing.
             arg = min(w * self._landing_tau + phi, math.pi)
-            y_des, v_des = self.params.y_s_neu + b * math.cos(arg), -b * w * math.sin(arg)
+            y_des, v_des = self.cycle.params.y_s_neu + b * math.cos(arg), -b * w * math.sin(arg)
         else:
             t = self.t_traj
             y_des, v_des = self.cycle.y_des(t), self.cycle.y_des_rate(t)
@@ -183,8 +182,8 @@ class ForceController(_TrajectoryController):
     """Stance torque law with the envelope clamp; rides the envelope when the
     proportional gain is large."""
 
-    def __init__(self, p, geo, motor, gains: Gains):
-        super().__init__(p, geo, motor)
+    def __init__(self, cycle, geo, motor, gains: Gains):
+        super().__init__(cycle, geo, motor)
         self.gains = gains
 
     def command(self, state) -> JointCommands:
@@ -202,8 +201,8 @@ class ForceController(_TrajectoryController):
 class PositionController(_TrajectoryController):
     """Trajectory-tracking PD on position and velocity error, then clamped."""
 
-    def __init__(self, p, geo, motor):
-        super().__init__(p, geo, motor)
+    def __init__(self, cycle, geo, motor):
+        super().__init__(cycle, geo, motor)
         self.gains = position_tracking_gains(motor)
 
     def command(self, state) -> JointCommands:

@@ -7,6 +7,10 @@ task-space force, both under gravity.  Phase transitions are detected by
 sign crossings (stance pin force for lift-off, foot height for touchdown),
 located by linear interpolation within a step.
 
+A :class:`RunSetup` is a checked run.  Building one checks the run knobs and
+then builds the closed-form hop cycle, so a setup that exists can run; every
+controller, and the CLI's ``compare`` and ``traj``, read that one cycle.
+
 Each tick of :func:`run` goes command -> record -> plant -> landings ->
 clock, and :func:`run` makes every controller call.  The plant,
 :func:`_advance_tick`, calls none: it builds its force evaluation from the
@@ -45,6 +49,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Callable, Iterator, NamedTuple
 
 from . import analytic, control, kinematics
@@ -66,10 +71,14 @@ MAX_TICKS = 10_000_000  # most control ticks a run may ask for
 MAX_IK_FAILURES = 100
 MAX_DURATION = 30.0  # s, guard for hop-count runs
 # The names RunSetup.controller takes, each with the code that builds it.
-CONTROLLERS: dict[str, Callable[[ValidatedBundle], object]] = {
-    "force": lambda b: control.ForceController(b.params, b.geometry, b.motor, b.gains),
-    "position": lambda b: control.PositionController(b.params, b.geometry, b.motor),
-    "spring": lambda b: control.VirtualSpringController(b.params, b.geometry, b.motor),
+CONTROLLERS: dict[str, Callable[[RunSetup], object]] = {
+    "force": lambda s: control.ForceController(
+        s.cycle, s.bundle.geometry, s.bundle.motor, s.bundle.gains
+    ),
+    "position": lambda s: control.PositionController(s.cycle, s.bundle.geometry, s.bundle.motor),
+    "spring": lambda s: control.VirtualSpringController(
+        s.bundle.params, s.bundle.geometry, s.bundle.motor
+    ),
 }
 
 
@@ -242,9 +251,16 @@ class SimState:
     terms: tuple | None = None  # leg terms at this state, if the plant evaluated them
 
 
-@dataclass
+def _end_time(setup: RunSetup) -> float:
+    return setup.duration if setup.duration is not None else MAX_DURATION
+
+
+@dataclass(frozen=True)
 class RunSetup:
-    """Resolved inputs for one simulation run."""
+    """A checked run: building one checks the run knobs, then builds the
+    closed-form hop cycle (:attr:`cycle`) that every controller and command
+    reads, and raises ValueError with a one-line reason if either fails.
+    It is frozen, so it stays checked."""
 
     bundle: ValidatedBundle
     controller: str = "force"  # one of CONTROLLERS
@@ -252,6 +268,41 @@ class RunSetup:
     hops: int | None = None
     dt: float = 2.5e-4
     control_rate: float = 4000.0
+
+    def __post_init__(self) -> None:
+        if self.controller not in CONTROLLERS:
+            known = ", ".join(CONTROLLERS)
+            raise ValueError(f"unknown controller {self.controller!r} (known: {known})")
+        if (self.duration is None) == (self.hops is None):
+            raise ValueError("exactly one of duration or hops must be set")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.control_rate) and self.control_rate > 0.0):
+            raise ValueError("control_rate must be positive and finite")
+        # compared before rounding: a dt so small that period / dt is inf fails too
+        if not (1.0 / self.control_rate) / self.dt <= MAX_SUBSTEPS_PER_TICK:
+            raise ValueError(
+                f"dt={self.dt!r} gives more than {MAX_SUBSTEPS_PER_TICK} substeps "
+                f"per control tick at control_rate={self.control_rate!r}"
+            )
+        if self.hops is None and not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ValueError("duration must be non-negative and finite")
+        if self.hops is not None and self.hops < 1:
+            raise ValueError("hops must be at least 1")
+        # The tick bound also keeps the clock moving: a substep is then at least
+        # t_end / (MAX_TICKS * MAX_SUBSTEPS_PER_TICK), so adding it changes t_end.
+        t_end = _end_time(self)
+        if not t_end * self.control_rate <= MAX_TICKS:
+            raise ValueError(
+                f"control_rate={self.control_rate!r} asks for more than {MAX_TICKS} "
+                f"control ticks in {t_end!r} s"
+            )
+        self.cycle  # the closed forms' ParameterError is a ValueError too
+
+    @cached_property
+    def cycle(self) -> analytic.TrajectoryCycle:
+        """The closed-form hop cycle of the setup's hopper, built once."""
+        return analytic.TrajectoryCycle(self.bundle.params)
 
 
 @dataclass
@@ -436,11 +487,8 @@ def _crossing(
 
 def initial_state(setup: RunSetup) -> SimState:
     """Pinned stance state at the trajectory start posture, at rest."""
-    b = setup.bundle
-    p, geo = b.params, b.geometry
-    # bit for bit the trajectory cycle's start, TrajectoryCycle.y_des(0.0)
-    y0 = analytic.stance_position(0.0, p)
-    y0 = min(max(y0, geo.constants.y_lo), geo.constants.y_hi)
+    geo = setup.bundle.geometry
+    y0 = min(max(setup.cycle.y_des(0.0), geo.constants.y_lo), geo.constants.y_hi)
     return SimState(
         t=0.0,
         phase=HopPhase.STANCE,
@@ -466,41 +514,6 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
     )
 
 
-def _end_time(setup: RunSetup) -> float:
-    return setup.duration if setup.duration is not None else MAX_DURATION
-
-
-def check_setup(setup: RunSetup) -> None:
-    """Raise ValueError with a one-line reason if the run knobs cannot run."""
-    if setup.controller not in CONTROLLERS:
-        known = ", ".join(CONTROLLERS)
-        raise ValueError(f"unknown controller {setup.controller!r} (known: {known})")
-    if (setup.duration is None) == (setup.hops is None):
-        raise ValueError("exactly one of duration or hops must be set")
-    if not (math.isfinite(setup.dt) and setup.dt > 0.0):
-        raise ValueError("dt must be positive and finite")
-    if not (math.isfinite(setup.control_rate) and setup.control_rate > 0.0):
-        raise ValueError("control_rate must be positive and finite")
-    # compared before rounding: a dt so small that period / dt is inf fails too
-    if not (1.0 / setup.control_rate) / setup.dt <= MAX_SUBSTEPS_PER_TICK:
-        raise ValueError(
-            f"dt={setup.dt!r} gives more than {MAX_SUBSTEPS_PER_TICK} substeps "
-            f"per control tick at control_rate={setup.control_rate!r}"
-        )
-    if setup.duration is not None and not (math.isfinite(setup.duration) and setup.duration >= 0.0):
-        raise ValueError("duration must be non-negative and finite")
-    if setup.hops is not None and setup.hops < 1:
-        raise ValueError("hops must be at least 1")
-    # The tick bound also keeps the clock moving: a substep is then at least
-    # t_end / (MAX_TICKS * MAX_SUBSTEPS_PER_TICK), so adding it changes t_end.
-    t_end = _end_time(setup)
-    if not t_end * setup.control_rate <= MAX_TICKS:
-        raise ValueError(
-            f"control_rate={setup.control_rate!r} asks for more than {MAX_TICKS} "
-            f"control ticks in {t_end!r} s"
-        )
-
-
 def run(setup: RunSetup) -> RunResult:
     """Run the control loop at a fixed rate and return the telemetry log.
 
@@ -510,14 +523,11 @@ def run(setup: RunSetup) -> RunResult:
     log.  Aborts (non-finite state, too many unreachable-trajectory ticks)
     return a partial log whose ``failure`` field carries the reason.
     """
-    check_setup(setup)
-
-    b = setup.bundle
-    p, geo = b.params, b.geometry
+    p, geo = setup.bundle.params, setup.bundle.geometry
     period = 1.0 / setup.control_rate
     n_sub = max(1, round(period / setup.dt))
     dt_sub = period / n_sub
-    controller = CONTROLLERS[setup.controller](b)
+    controller = CONTROLLERS[setup.controller](setup)
 
     t_end = _end_time(setup)
     log = TelemetryLog()

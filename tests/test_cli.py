@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -403,7 +404,7 @@ class TestCmdRun:
         assert len(err) == 1 and err[0].startswith("error: no lift-off"), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "traj", "compare"])
+    @pytest.mark.parametrize("command", ["run", "traj", "compare", "spring"])
     @pytest.mark.parametrize(
         "line",
         [
@@ -414,10 +415,14 @@ class TestCmdRun:
     def test_extreme_hopper_value_is_one_error_line(self, tmp_path, capsys, command, line):
         # finite values that validate accepts but the closed forms cannot
         # compute: overflow, an infinite constant, a period that is zero or
-        # infinite
+        # infinite.  The spring law reads no cycle, but its setup builds one:
+        # a spring run with C_amp = 1e300 ended ok, with k_s = 1.7e308 it ran
+        # the whole 30 s guard to exit 2.
         cfg = write(tmp_path, f"[run]\npreset = physical-force\n[hopper]\n{line}\n")
         out = tmp_path / "o"
         other = ["--preset", "physical-position"] if command == "compare" else []
+        if command == "spring":
+            command, other = "run", ["--controller", "spring"]
         code = main([command, "--config", str(cfg), *other, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
@@ -629,9 +634,9 @@ class TestCmdCompare:
     @pytest.mark.parametrize(
         ("lines", "reason"),
         [
-            # fails in the trajectory cycle build
+            # the closed-form cycle fails
             ("[hopper]\nC_amp = 1e300", "invalid parameters: hopper: the closed-form hop cycle"),
-            # fails in resolve
+            # a run knob fails
             ("control_rate = 0", "control_rate must be positive and finite"),
         ],
         ids=["cycle", "resolve"],
@@ -733,6 +738,83 @@ def test_out_on_a_file_is_one_error_line_before_any_run(
     assert err[0].endswith("is not a directory"), err
     files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
     assert files == (["taken", "taken/a-force"] if case == "side-file" else ["taken"])
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_directory_in_place_of_an_output_file_is_one_error_line(tmp_path, capsys, command):
+    # os.replace raised an IsADirectoryError traceback after the run
+    out = tmp_path / "o"
+    side = out / "a-force" if command == "compare" else out
+    blocker = side / "summary.csv"
+    (blocker / "kept").mkdir(parents=True)
+    sources = ["--preset", "physical-force"] * (2 if command == "compare" else 1)
+    code = main([command, *sources, "--hops", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {str(blocker)!r}: {os.strerror(errno.EISDIR)}"]
+    # the directory stays, and so does the file written before the failing one
+    assert (blocker / "kept").is_dir()
+    assert sorted(p.name for p in side.iterdir()) == ["run.csv", "summary.csv"]
+    if command == "compare":  # side b never ran
+        assert [p.name for p in out.iterdir()] == ["a-force"]
+
+
+def test_out_that_cannot_be_made_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # an unwritable parent makes mkdir raise PermissionError
+    def denied(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    monkeypatch.setattr(Path, "mkdir", denied)
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "physical-force", "--hops", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {str(out / 'run.csv')!r}: {os.strerror(errno.EACCES)}"]
+    assert not out.exists()
+
+
+LIFT_WARNING = "warning: lift-off height 0.9116 m exceeds reach 0.741 m"
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "after"),
+    [
+        (["run", "--preset", "paper-literal-force"], 2, ["run aborted: desired trajectory "]),
+        (["compare", "--preset", "paper-literal-force", "--preset", "physical-force"], 0, []),
+        (["traj", "--preset", "paper-literal-position"], 0, []),
+    ],
+    ids=["run", "compare", "traj"],
+)
+def test_validation_warning_is_printed_once_before_the_run(tmp_path, capsys, argv, code, after):
+    assert main([*argv, "--hops", "1", "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 + len(after), err
+    assert err[0] == LIFT_WARNING
+    for line, start in zip(err[1:], after):
+        assert line.startswith(start), err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "traj"])
+def test_physical_presets_print_no_warning(tmp_path, capsys, command):
+    sources = ["--preset", "physical-force", "--preset", "physical-position"]
+    argv = [command, *(sources if command == "compare" else sources[:2])]
+    assert main([*argv, "--hops", "1", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case", ["bad-knob", "blocked-file"])
+def test_input_errors_still_print_one_error_line(tmp_path, capsys, case):
+    # a knob fails before the warnings; a blocked output file fails after
+    # them, and the warning line then comes first
+    out = tmp_path / "o"
+    flags = ["--dt", "nan"] if case == "bad-knob" else []
+    if case == "blocked-file":
+        (out / "summary.csv").mkdir(parents=True)
+    argv = ["run", "--preset", "paper-literal-force", "--hops", "1", *flags, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == err[-1:], err
+    assert err[:-1] == ([] if case == "bad-knob" else [LIFT_WARNING]), err
 
 
 class TestWriteAtomic:

@@ -144,7 +144,7 @@ class TestCommandTypes:
 class TestControllerSteps:
     def test_flight_apex_zero_command(self, bundle_physical):
         b = bundle_physical
-        ctrl = ForceController(b.params, b.geometry, b.motor, b.gains)
+        ctrl = ForceController(analytic.TrajectoryCycle(b.params), b.geometry, b.motor, b.gains)
         th_h, th_k, _, _, _ = ctrl.joint_targets()
         state = sim.SimState(
             t=0.0,
@@ -200,11 +200,10 @@ class TestControllerSteps:
 
     def test_controller_commands_within_envelope(self, bundle_physical):
         b = bundle_physical
-        state = sim.initial_state(
-            sim.RunSetup(bundle=b, controller="force", hops=1)
-        )
-        cmd_f = control.ForceController(b.params, b.geometry, b.motor, b.gains).command(state)
-        cmd_p = control.PositionController(b.params, b.geometry, b.motor).command(state)
+        setup = sim.RunSetup(bundle=b, controller="force", hops=1)
+        state = sim.initial_state(setup)
+        cmd_f = control.ForceController(setup.cycle, b.geometry, b.motor, b.gains).command(state)
+        cmd_p = control.PositionController(setup.cycle, b.geometry, b.motor).command(state)
         for cmd in (cmd_f, cmd_p):
             assert abs(cmd.knee.tau_des) <= cmd.knee.tau_sat
             assert abs(cmd.hip.tau_des) <= cmd.hip.tau_sat

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -194,8 +195,8 @@ class TestRun:
         C_max=st.floats(0.0, 0.5),
     )
     def test_start_length_is_the_trajectory_start(self, m, m_e, k_s, C_amp, C_max):
-        # initial_state starts every controller from the stance response at
-        # t=0 and builds no trajectory cycle to read its first desired length
+        # initial_state starts every controller from the setup cycle's
+        # y_des(0.0), which is the stance response at t=0 bit for bit
         p = HopperParams(m=m, m_e=m_e, k_s=k_s, C_amp=C_amp, C_max=C_max)
         y_des = analytic.TrajectoryCycle(p).y_des(0.0)
         assert y_des.hex() == analytic.stance_position(0.0, p).hex()
@@ -245,11 +246,13 @@ class TestRun:
         ],
     )
     def test_rejects_bad_run_knobs(self, bundle_physical, knobs):
+        with pytest.raises(ValueError):
+            RunSetup(**{"bundle": bundle_physical, "controller": "force", "hops": 1, **knobs})
+        # a setup stays checked: its knobs cannot be set after it is built
         setup = RunSetup(bundle=bundle_physical, controller="force", hops=1)
         for name, value in knobs.items():
-            setattr(setup, name, value)
-        with pytest.raises(ValueError):
-            sim.run(setup)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(setup, name, value)
 
     def test_huge_control_rate_runs_while_the_clock_advances(self, bundle_physical):
         setup = RunSetup(bundle=bundle_physical, duration=0.0, control_rate=1e20)

@@ -90,5 +90,5 @@ def test_traced_child_counts_plotted_compare(tmp_path):
     assert spans["svg.plot"][0] == 7
     assert spans["cli.write"][0] == 15
     assert spans["sim.plant"][0] > 0
-    # analytic.cycle_build is not pinned: compare also builds each side's
-    # controller to check its input before either side runs
+    # one trajectory cycle per side, built when its setup is checked
+    assert spans["analytic.cycle_build"][0] == 2
