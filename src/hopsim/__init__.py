@@ -13,8 +13,6 @@ from .analytic import (
     TrajectoryCycle,
     compensation,
     flight_leg_length,
-    flight_position,
-    flight_window,
     hop_period,
     lift_state,
     stance_position,
@@ -36,7 +34,6 @@ from .control import (
 )
 from .errors import (
     ConfigError,
-    DegenerateFlightWindowError,
     HopsimError,
     NoLiftOffError,
     ParameterError,

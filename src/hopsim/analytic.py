@@ -6,12 +6,10 @@ masses over exactly one period; the two are stitched into a periodic desired
 trajectory with a position compensation coefficient applied over the second
 half of the cycle.
 
-Two closed forms are kept for the flight segment.  ``flight_position`` is
-the paper's legacy amplitude-sum form; it disagrees with a direct
-integration of the two-mass flight dynamics, so the trajectory generator
-uses ``flight_leg_length`` instead, which matches that integration to
-machine precision.  The legacy form stays public for comparison, but no run
-evaluates it.
+The flight segment is :func:`flight_leg_length`, which matches a direct
+integration of the two-mass flight dynamics to machine precision.  The
+paper's printed amplitude-sum form disagrees with that integration; the
+tests keep it (``tests/test_analytic.py``) as the record of where.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFlightWindowError, HopsimError, NoLiftOffError, ParameterError
+from .errors import HopsimError, NoLiftOffError, ParameterError
 from .model import HopperParams, HopPhase
 
 
@@ -96,55 +94,6 @@ def hop_period(p: HopperParams) -> float:
     """Period of continuous hopping: 2*t_lo plus one leg-length period."""
     t_lo, _ = switch_times(p)
     return 2.0 * t_lo + relative_period(p)
-
-
-def _amplitude_radicals(p: HopperParams, ls: LiftState) -> tuple[float, float]:
-    """Both radicals of the legacy amplitude-sum flight form.
-
-    The second radical carries mass exponents (m**3 paired with a leading m)
-    that are one reason this form disagrees with the two-mass integration;
-    see :func:`flight_amplitude` for the consistent amplitude.
-    """
-    total = p.m + p.m_e
-    r1 = math.sqrt(
-        p.m * ls.v_lo**2 * p.m_e**3 / (p.k_s * total**3)
-        + ls.y_lo**2 * p.m_e**2 / total**2
-    )
-    r2 = math.sqrt(
-        p.m * ls.v_lo**2 * p.m**3 / (p.k_s * total**3)
-        + ls.y_lo**2 * p.m**2 / total**2
-    )
-    return r1, r2
-
-
-def flight_position(t: float, p: HopperParams, ls: LiftState) -> float:
-    """Legacy amplitude-sum form of the flight leg length at time t.
-
-    Kept for comparison; the trajectory generator uses
-    :func:`flight_leg_length`, which agrees with direct integration of the
-    two-mass flight dynamics.
-    """
-    r1, r2 = _amplitude_radicals(p, ls)
-    w = flight_omega(p)
-    return (r1 + r2) * math.cos(w * t) + p.y_s_neu
-
-
-def flight_window(p: HopperParams, ls: LiftState) -> tuple[float, float]:
-    """Effective time range (t_f_s, t_f_e) of the legacy flight response.
-
-    Uses that form's product phase argument (a length times a radical);
-    arguments outside [-1, 1] raise DegenerateFlightWindowError.  The window
-    length t_f_e - t_f_s is one leg-length period regardless.
-    """
-    r1, _ = _amplitude_radicals(p, ls)
-    arg = ls.y_lo * p.m_e / (p.m + p.m_e) * r1
-    if not -1.0 <= arg <= 1.0:
-        raise DegenerateFlightWindowError(
-            f"degenerate flight window: phase argument {arg:.4g} outside [-1, 1]"
-        )
-    mu = p.m * p.m_e / (p.m + p.m_e)
-    t_f_s = -math.sqrt(mu / p.k_s) * math.acos(arg)
-    return t_f_s, t_f_s + relative_period(p)
 
 
 def flight_amplitude(p: HopperParams, ls: LiftState) -> float:

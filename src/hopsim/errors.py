@@ -22,10 +22,6 @@ class NoLiftOffError(HopsimError, ValueError):
     """The spring cannot support the foot weight at the configured amplitude."""
 
 
-class DegenerateFlightWindowError(HopsimError, ValueError):
-    """The flight-window phase argument falls outside [-1, 1]."""
-
-
 class UnreachableLengthError(HopsimError, ValueError):
     """Requested leg length lies outside the open reach interval."""
 

@@ -26,6 +26,16 @@ the start state of a run are evaluated afresh.  The reuse changes no
 floating-point operation, so telemetry is byte-identical to evaluating
 every configuration each time it is needed.
 
+Nothing in a tick reads the time ``t``, so a run whose whole state repeats
+repeats its ticks.  At the first tick after each landing :func:`run` keys
+the state (:func:`_cycle_key`: phase, the bits of the four positions and
+rates, every controller attribute, the IK-clamp count).  When a key comes
+back, :func:`_replay_cycle` copies the records since its first sighting at
+the new times until the run's stop test fires, and reruns the plant only on
+ticks that had events, so event times and the clock come out as computed.
+The position controller reaches such an orbit: its leg rests on the
+plastic fold stop once per hop, which erases the state.
+
 :meth:`TelemetryLog.to_csv` streams the log as CSV text and formats it on
 every usable CPU.  From 4096 rows on (two ``_CSV_SHARE_MIN_ROWS`` shares), on
 a host with more than one usable CPU, it forks one helper per extra CPU;
@@ -48,7 +58,7 @@ import math
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import IO, Callable, Iterator, NamedTuple
 
@@ -518,10 +528,12 @@ def run(setup: RunSetup) -> RunResult:
     """Run the control loop at a fixed rate and return the telemetry log.
 
     Each tick: controller command, telemetry record, plant substeps with
-    transition checks, landing count, trajectory clock advance.  The run is
-    seed-free and deterministic: the same setup produces a bitwise-identical
-    log.  Aborts (non-finite state, too many unreachable-trajectory ticks)
-    return a partial log whose ``failure`` field carries the reason.
+    transition checks, landing count, trajectory clock advance; once the
+    state after a landing repeats, the cycle since is replayed (see the
+    module docstring).  The run is seed-free and deterministic: the same
+    setup produces a bitwise-identical log.  Aborts (non-finite state, too
+    many unreachable-trajectory ticks) return a partial log whose
+    ``failure`` field carries the reason.
     """
     p, geo = setup.bundle.params, setup.bundle.geometry
     period = 1.0 / setup.control_rate
@@ -534,14 +546,36 @@ def run(setup: RunSetup) -> RunResult:
     state = initial_state(setup)
     ik_failures = 0
     landings = 0
+    touchdown = None  # the last tick's last landing
+    cycle_starts: dict[str, int] = {}  # key after a landing -> first tick with it
+    event_ticks = {}  # tick that had events -> its start state and command
+
+    def plant(state, cmd):
+        return _advance_tick(state, cmd, controller.force_law, dt_sub, n_sub, p, geo, log)
+
+    def done(t, landings):
+        return not t < t_end - 1e-12 or (setup.hops is not None and landings >= setup.hops)
 
     def abort(reason: str) -> RunResult:
         log.failure = reason
         return RunResult(log, setup)
 
-    while state.t < t_end - 1e-12:
-        if setup.hops is not None and landings >= setup.hops:
-            break
+    def finish(t, landings) -> RunResult:
+        if setup.hops is not None and landings < setup.hops:
+            return abort(
+                f"hop target not reached ({landings} of {setup.hops} landings "
+                f"by t={t:.6f})"
+            )
+        return RunResult(log, setup)
+
+    while not done(state.t, landings):
+        if touchdown is not None:
+            tick = len(log.records)
+            start = cycle_starts.setdefault(_cycle_key(state, controller, ik_failures), tick)
+            if start < tick:
+                return finish(*_replay_cycle(
+                    log, start, event_ticks, state.t, landings, done, plant, n_sub, dt_sub
+                ))
         cmd = controller.command(state)
         log.records.append(_record_from(state, cmd))
         if cmd.ik_clamped:
@@ -554,9 +588,12 @@ def run(setup: RunSetup) -> RunResult:
 
         seen = len(log.events)
         try:
-            state = _advance_tick(state, cmd, controller.force_law, dt_sub, n_sub, p, geo, log)
+            end = plant(state, cmd)
         except SimulationAbort as exc:
             return abort(str(exc))
+        if len(log.events) > seen:
+            event_ticks[len(log.records) - 1] = state, cmd
+        state = end
         touchdown = None  # the tick's last landing
         for event in log.events[seen:]:
             if event.kind == "landing":
@@ -567,12 +604,50 @@ def run(setup: RunSetup) -> RunResult:
         controller.advance(period, state, touchdown)
 
     log.records.append(_record_from(state, controller.command(state)))
-    if setup.hops is not None and landings < setup.hops:
-        return abort(
-            f"hop target not reached ({landings} of {setup.hops} landings "
-            f"by t={state.t:.6f})"
-        )
-    return RunResult(log, setup)
+    return finish(state.t, landings)
+
+
+def _cycle_key(state: SimState, controller, ik_failures: int) -> str:
+    """All that the rest of a run reads, at the start of a tick, but the time.
+
+    That is the phase, the bits of the four positions and rates (``repr``
+    tells -0.0 from 0.0; the joint state and leg terms are functions of
+    them), every attribute of the controller (its trajectory clock and
+    landing fit) and the count of IK-clamped ticks.  Nothing in the dynamics
+    reads ``t``, so two ticks with one key begin the same future.
+    """
+    return repr((
+        state.phase, state.y_body, state.v_body, state.y_foot, state.v_foot,
+        vars(controller), ik_failures,
+    ))
+
+
+def _replay_cycle(log, start, event_ticks, t, landings, done, plant, n_sub, dt_sub):
+    """Repeat ticks ``start`` up to the last record, whose state the coming
+    tick has again, from time ``t`` until ``done(t, landings)``; return the
+    end time and landings.
+
+    A replayed tick appends its cycle record at the new time.  One without
+    events moves the clock by ``n_sub`` additions of ``dt_sub``, as the
+    plant does; one with events reruns ``plant`` from its start state and
+    held command in ``event_ticks``.  The cycle's next record closes the log.
+    """
+    records, events = log.records, log.events
+    stop = len(records)
+    i = start
+    while not done(t, landings):
+        records.append(Record(t, *records[i][1:]))
+        if i in event_ticks:
+            state, cmd = event_ticks[i]
+            seen = len(events)
+            t = plant(replace(state, t=t), cmd).t
+            landings += sum(event.kind == "landing" for event in events[seen:])
+        else:
+            for _ in range(n_sub):
+                t += dt_sub
+        i = i + 1 if i + 1 < stop else start
+    records.append(Record(t, *records[i][1:]))
+    return t, landings
 
 
 def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState:

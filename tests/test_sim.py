@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -356,3 +357,125 @@ class TestLegStops:
         state, log = advance(state, 10, 2.5e-4, b)
         assert not log.events
         assert state.y_body >= lo - 1e-12
+
+
+def log_bits(res):
+    """Records, events and failure of a run, every float as its bytes."""
+    records = [(r.phase, struct.pack("<17d", r.t, *r[2:])) for r in res.log.records]
+    events = [(e.kind, struct.pack("<3d", *e[1:])) for e in res.log.events]
+    return records, events, res.log.failure
+
+
+def counted_run(setup, monkeypatch):
+    """The run of ``setup`` and the number of its ``sim._advance_tick`` calls."""
+    calls = []
+    inner = sim._advance_tick
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_advance_tick", counting)
+        res = sim.run(setup)
+    return res, len(calls)
+
+
+def unreplayed_run(setup, monkeypatch):
+    """The run of ``setup`` with every tick computed: no two keys are equal."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_cycle_key", lambda *args: object())
+        return counted_run(setup, monkeypatch)
+
+
+class TestCycleReplay:
+    # Once a run's state repeats at a landing, sim.run copies the cycle's
+    # records instead of integrating them again; none of that may show.
+
+    @pytest.mark.parametrize(
+        ("knobs", "scale"),
+        [
+            ({"duration": 3.0}, 1.0),
+            ({"duration": 10.0}, 1.0),
+            ({"duration": 2.5}, 1.0),  # ends inside a cycle
+            ({"hops": 10}, 1.0),  # the hop target is reached inside the replay
+            ({"hops": 30}, 1.0),
+            ({"duration": 2.0, "dt": 2.5e-5}, 1.0),
+            ({"duration": 3.0}, 1.03),  # k_s and C_amp scaled
+            ({"duration": 3.0}, 0.97),
+        ],
+        ids=["3s", "10s", "2.5s", "10hops", "30hops", "fine-dt", "scaled-up", "scaled-down"],
+    )
+    def test_replay_cannot_be_seen_in_the_log(self, physical, monkeypatch, knobs, scale):
+        from hopsim import model
+
+        p = dataclasses.replace(physical, k_s=physical.k_s * scale, C_amp=physical.C_amp * scale)
+        setup = RunSetup(bundle=model.validate(p), controller="position", **knobs)
+        res, plant_calls = counted_run(setup, monkeypatch)
+        ref, ref_calls = unreplayed_run(setup, monkeypatch)
+        assert res.ok and log_bits(res) == log_bits(ref)
+        ticks = len(ref.log.records) - 1
+        assert ref_calls == ticks and plant_calls < ticks  # the replay ran
+
+    @pytest.mark.parametrize("controller", ["force", "position", "spring"])
+    def test_every_controller_attribute_that_changes_is_keyed(
+        self, bundle_physical, monkeypatch, controller
+    ):
+        built = []
+        build = sim.CONTROLLERS[controller]
+
+        def building(setup):
+            c = build(setup)
+            built.append((c, dict(vars(c))))
+            return c
+
+        monkeypatch.setitem(sim.CONTROLLERS, controller, building)
+        setup = RunSetup(bundle=bundle_physical, controller=controller, hops=2)
+        assert sim.run(setup).ok
+        [(c, before)] = built
+        after = dict(vars(c))
+        changed = [name for name, value in after.items() if before.get(name) != value]
+        if controller != "spring":
+            assert {"t_traj", "_landing_tau"} <= set(changed)
+        state = sim.initial_state(setup)
+        key = sim._cycle_key(state, c, 0)
+        for name in changed:
+            setattr(c, name, before.get(name))
+            assert sim._cycle_key(state, c, 0) != key, name
+            setattr(c, name, after[name])
+        # the state is keyed bit for bit, and so is the IK-clamp count
+        assert sim._cycle_key(dataclasses.replace(state, v_body=-0.0), c, 0) != key
+        assert sim._cycle_key(state, c, 1) != key
+
+    @pytest.mark.parametrize(("controller", "replayed"), [("position", True), ("force", False)])
+    def test_position_orbit_replays_and_force_runs_do_not(
+        self, bundle_physical, monkeypatch, controller, replayed
+    ):
+        setup = RunSetup(bundle=bundle_physical, controller=controller, duration=3.0)
+        res, plant_calls = counted_run(setup, monkeypatch)
+        ticks = len(res.log.records) - 1
+        assert res.ok and ticks == 12000
+        if replayed:
+            assert plant_calls < ticks / 2
+        else:
+            assert plant_calls == ticks
+
+    def test_cycle_with_an_ik_clamp_is_never_replayed(self, bundle_physical, monkeypatch):
+        # Clamp the tick on the fold stop, which the position orbit reaches
+        # once per hop: a cycle whose clamp were copied uncounted would run on
+        # past the limit, which the unreplayed run reaches after 6 hops.
+        y_lo = bundle_physical.geometry.constants.y_lo
+        inner = control.PositionController.command
+
+        def clamping(self, state):
+            cmd = inner(self, state)
+            return cmd._replace(ik_clamped=state.y_body - state.y_foot == y_lo)
+
+        monkeypatch.setattr(control.PositionController, "command", clamping)
+        monkeypatch.setattr(sim, "MAX_IK_FAILURES", 5)
+        setup = RunSetup(bundle=bundle_physical, controller="position", duration=3.0)
+        res, plant_calls = counted_run(setup, monkeypatch)
+        ref, _ = unreplayed_run(setup, monkeypatch)
+        assert res.log.failure == "desired trajectory unreachable on 6 ticks in total (limit 5)"
+        assert log_bits(res) == log_bits(ref)
+        assert plant_calls == len(res.log.records) - 1  # every tick before the abort
