@@ -49,6 +49,11 @@ class RunConfig:
     out: str = "out"
     plots: bool = False
 
+    def __post_init__(self) -> None:
+        # Path("") is the current directory, which no one asked to write into
+        if not self.out:
+            raise ConfigError("out must name a directory (use '.' for the current one)")
+
     def to_text(self) -> str:
         """Serialize back to the plain-text config format (round-trips)."""
         blocks = []
@@ -533,7 +538,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg = replace(cfg, duration=args.duration, hops=None)
     if args.dt is not None:
         cfg = replace(cfg, dt=args.dt)
-    if args.out:
+    if args.out is not None:
         cfg = replace(cfg, out=args.out)
     if args.plots:
         cfg = replace(cfg, plots=True)

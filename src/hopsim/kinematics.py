@@ -129,18 +129,6 @@ def joint_rates(theta_knee: float, v_leg: float, geo: LegGeometry) -> tuple[floa
     return dhip_dknee * thetad_knee, thetad_knee
 
 
-def task_force(tau_hip: float, tau_knee: float, theta_knee: float, geo: LegGeometry) -> float:
-    """Vertical task-space force produced by the joint torques.
-
-    Virtual work along the one-DOF aligned-leg manifold:
-    F*dy = tau_knee*dtheta_knee + tau_hip*dtheta_hip.
-    """
-    dy_dknee, dhip_dknee, singular = _jacobian_terms(theta_knee, geo)
-    if singular:
-        return 0.0
-    return (tau_knee + tau_hip * dhip_dknee) / dy_dknee
-
-
 def knee_torque_for_force(force: float, theta_knee: float, geo: LegGeometry) -> float:
     """Knee torque that alone produces the given task-space force."""
     return force * _jacobian_terms(theta_knee, geo)[0]

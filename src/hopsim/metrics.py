@@ -55,10 +55,6 @@ class AorCurve:
     def stall_torque(self) -> float:
         return self.points[0][1]
 
-    @property
-    def no_load_speed(self) -> float:
-        return self.points[-1][0]
-
     def torque_at(self, speed: float) -> float:
         """Envelope torque at |speed|, linearly interpolated; 0 beyond the curve.
 

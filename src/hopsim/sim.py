@@ -36,15 +36,10 @@ ticks that had events, so event times and the clock come out as computed.
 The position controller reaches such an orbit: its leg rests on the
 plastic fold stop once per hop, which erases the state.
 
-:meth:`TelemetryLog.to_csv` streams the log as CSV text and formats it on
-every usable CPU.  From 4096 rows on (two ``_CSV_SHARE_MIN_ROWS`` shares), on
-a host with more than one usable CPU, it forks one helper per extra CPU;
-each formats a tail share of the rows into an unlinked temp file while the
-calling process formats the head, and no helper outlives the generator.
-It formats in-process, without forking, on one usable CPU, without
-``os.fork``, while other threads run, or when a fork fails.  Every process
-formats a row with the same ``_CSV_LINE``, so the text is byte-identical
-either way.
+:meth:`TelemetryLog.to_csv` streams the log as CSV text in one process.  A
+replayed run's log knows its cycle (:attr:`TelemetryLog.cycle`), so each
+copied row is written as the ``repr`` of its time plus the text its cycle
+row has after ``t``, which is formatted once.
 
 The module also provides :class:`TwoMassReference`, an RK4-plus-events
 integration of the ideal two-mass model itself (the dynamics the closed-form
@@ -55,12 +50,9 @@ period.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import IO, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import analytic, control, kinematics
 from .errors import SimulationAbort
@@ -115,23 +107,13 @@ class Record(NamedTuple):
     c_act_knee: float
 
 
-# One CSV line: repr of every number (``%r`` is ``repr``), the phase as is.
-_CSV_LINE = ",".join("%s" if name == "phase" else "%r" for name in Record._fields) + "\n"
+# The CSV text of a row after ``t``: repr of every number (``%r`` is
+# ``repr``), the phase as is.
+_CSV_TAIL = "".join(",%s" if name == "phase" else ",%r" for name in Record._fields[1:]) + "\n"
+_CSV_LINE = "%r" + _CSV_TAIL  # one whole CSV line
 # Rows per text chunk of ``TelemetryLog.to_csv`` (about 70 kB of text),
 # so writing a log never holds more than one chunk of it as a string.
 _CSV_CHUNK_ROWS = 256
-# Fewest rows a process formats when ``to_csv`` splits a log.  Forking a
-# helper, reaping it and copying its file back cost about 3 ms on a 2-vCPU
-# Xeon at 2.0 GHz, the time to format about 200 rows, but a helper gains
-# only while another CPU is free.  With the other CPU busy, a forked write
-# of 2000 to 6000 rows was no faster than one in-process and its 90th
-# percentile up to 6 ms slower, so for a short log the split mostly makes
-# the write time hang on what else the host runs.  A log therefore forks
-# only from 4096 rows on; at 12k rows a free CPU cuts the write by about a
-# third (≈230 to ≈140 ms) and a busy one still does not slow it.
-_CSV_SHARE_MIN_ROWS = 8 * _CSV_CHUNK_ROWS
-# Characters per read when ``to_csv`` copies a helper's file back.
-_CSV_READ_CHARS = 1 << 16
 
 
 class Event(NamedTuple):
@@ -143,11 +125,17 @@ class Event(NamedTuple):
 
 @dataclass
 class TelemetryLog:
-    """Ordered per-tick records plus detected phase events."""
+    """Ordered per-tick records plus detected phase events.
+
+    ``cycle`` is None, or the bounds ``(start, stop)`` of the cycle that
+    :func:`run` replayed: every row ``k`` from ``stop`` on repeats row
+    ``start + (k - stop) % (stop - start)`` in every field but ``t``.
+    """
 
     records: list[Record] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
     failure: str | None = None
+    cycle: tuple[int, int] | None = field(default=None, init=False)
 
     def lift_events(self) -> list[Event]:
         return [e for e in self.events if e.kind == "lift"]
@@ -161,92 +149,29 @@ class TelemetryLog:
     def to_csv(self) -> Iterator[str]:
         """The CSV text in chunks; ``"".join`` of them is the whole file.
 
-        The rows are split into one share per usable CPU (see
-        :func:`_csv_bounds`).  A forked helper formats each share after the
-        first into an unlinked temp file while this process yields the header
-        line and the first share in blocks of ``_CSV_CHUNK_ROWS`` rows; then
-        each helper is reaped and its file yielded in reads of
-        ``_CSV_READ_CHARS`` characters.  Every process formats its rows with
-        the same ``_CSV_LINE``, so the text is the same whether or not
-        helpers fork.  No helper outlives the generator: closing it early or
-        an error kills and reaps them, and a helper that fails raises
-        ``RuntimeError`` here.  If a fork or its temp file fails, this
-        process formats the shares that have no helper itself.
+        Yields the header line, then the rows in blocks of
+        ``_CSV_CHUNK_ROWS``.  A row before the cycle (all rows if there is
+        none) is formatted with ``_CSV_LINE``.  The text after ``t`` of each
+        cycle row is formatted once and kept, and every row from the cycle's
+        start on is the ``repr`` of its time plus its cycle row's text, the
+        same bytes as formatting it whole.  Writing a log thus holds one
+        block and one cycle's text, whatever the log's length.
         """
         records = self.records
-        bounds = _csv_bounds(len(records))
-        shares = list(zip(bounds, bounds[1:]))
-        helpers = {}  # share start -> (pid, temp file) of its helper
-        running = set()  # helper pids not yet reaped
-        try:
-            for start, stop in shares[1:]:
-                try:
-                    pid, _ = helpers[start] = _fork_csv_helper(records, start, stop)
-                except OSError:  # no process or temp file to spare
-                    break
-                running.add(pid)
-            yield self.csv_header() + "\n"
-            for start, stop in shares:
-                if start not in helpers:
-                    yield from _csv_blocks(records, start, stop)
-                    continue
-                pid, f = helpers[start]
-                status = os.waitpid(pid, 0)[1]
-                running.discard(pid)
-                if status:
-                    code = os.waitstatus_to_exitcode(status)
-                    raise RuntimeError(
-                        f"CSV helper for rows {start}:{stop} failed (exit code {code})"
-                    )
-                f.seek(0)
-                while chunk := f.read(_CSV_READ_CHARS):
-                    yield chunk
-        finally:
-            for pid in running:
-                import signal  # here: its enums add about 1 ms to every import of sim
+        n = len(records)
+        start, stop = self.cycle or (n, n)
+        tails = [_CSV_TAIL % r[1:] for r in records[start:stop]]
+        period = len(tails)
 
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for _, f in helpers.values():
-                f.close()
+        def block(i: int, j: int) -> str:  # rows i:j; its lines are freed on return
+            lines = [_CSV_LINE % r for r in records[i : min(j, start)]]
+            for k in range(max(i, start), j):
+                lines.append(repr(records[k].t) + tails[(k - start) % period])
+            return "".join(lines)
 
-
-def _csv_blocks(records: list[Record], start: int, stop: int) -> Iterator[str]:
-    """The CSV rows of ``records[start:stop]`` in blocks of ``_CSV_CHUNK_ROWS``."""
-    for i in range(start, stop, _CSV_CHUNK_ROWS):
-        yield "".join([_CSV_LINE % r for r in records[i : min(i + _CSV_CHUNK_ROWS, stop)]])
-
-
-def _csv_bounds(n: int) -> list[int]:
-    """Row bounds ``[0, ..., n]`` of the shares of an ``n``-row log, one per
-    process that formats it: one per usable CPU, each at least
-    ``_CSV_SHARE_MIN_ROWS`` rows.  A single share (no helper) without
-    ``os.fork``, on one usable CPU, below two minimum shares, or while other
-    threads run: a lock one of them holds would stay held in the helper."""
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = max(1, min(len(os.sched_getaffinity(0)), n // _CSV_SHARE_MIN_ROWS))
-    return [n * i // workers for i in range(workers + 1)]
-
-
-def _fork_csv_helper(records: list[Record], start: int, stop: int) -> tuple[int, IO[str]]:
-    """Fork a process that writes the CSV rows ``records[start:stop]`` to an
-    unlinked temp file and exits; its pid and the file."""
-    f = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-    try:
-        pid = os.fork()
-    except BaseException:
-        f.close()
-        raise
-    if pid == 0:  # the helper: leave by os._exit, never into the caller's code
-        status = 1
-        try:
-            f.writelines(_csv_blocks(records, start, stop))
-            f.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, f
+        yield self.csv_header() + "\n"
+        for i in range(0, n, _CSV_CHUNK_ROWS):
+            yield block(i, min(i + _CSV_CHUNK_ROWS, n))
 
 
 @dataclass
@@ -627,13 +552,15 @@ def _replay_cycle(log, start, event_ticks, t, landings, done, plant, n_sub, dt_s
     tick has again, from time ``t`` until ``done(t, landings)``; return the
     end time and landings.
 
-    A replayed tick appends its cycle record at the new time.  One without
-    events moves the clock by ``n_sub`` additions of ``dt_sub``, as the
-    plant does; one with events reruns ``plant`` from its start state and
-    held command in ``event_ticks``.  The cycle's next record closes the log.
+    Records the cycle's bounds as ``log.cycle``.  A replayed tick appends
+    its cycle record at the new time.  One without events moves the clock by
+    ``n_sub`` additions of ``dt_sub``, as the plant does; one with events
+    reruns ``plant`` from its start state and held command in
+    ``event_ticks``.  The cycle's next record closes the log.
     """
     records, events = log.records, log.events
     stop = len(records)
+    log.cycle = (start, stop)
     i = start
     while not done(t, landings):
         records.append(Record(t, *records[i][1:]))

@@ -1,11 +1,34 @@
 import pytest
 
-from hopsim import analytic, model, sim
+from hopsim import analytic, kinematics, model, sim
 from hopsim.model import Gains, LegGeometry, MotorParams
 
 # Envelope large enough that the ideal-spring oracle command never clips;
 # the clamp pipeline stays active so its invariants still hold.
 ORACLE_MOTOR = MotorParams(tau_max=2000.0, omega_max=1000.0, R=1.0)
+
+
+def reference_to_csv(log):
+    """TelemetryLog.to_csv as first written (a per-field join), kept as the oracle."""
+    lines = [log.csv_header()]
+    for r in log.records:
+        lines.append(
+            ",".join(r.phase if i == 1 else repr(v) for i, v in enumerate(r))
+        )
+    return "\n".join(lines) + "\n"
+
+
+def task_force(tau_hip, tau_knee, theta_knee, geo):
+    """Vertical task-space force produced by the joint torques (no command
+    reads it, so it lives with the tests).
+
+    Virtual work along the one-DOF aligned-leg manifold:
+    F*dy = tau_knee*dtheta_knee + tau_hip*dtheta_hip.
+    """
+    dy_dknee, dhip_dknee, singular = kinematics._jacobian_terms(theta_knee, geo)
+    if singular:
+        return 0.0
+    return (tau_knee + tau_hip * dhip_dknee) / dy_dknee
 
 
 @pytest.fixture(scope="session")

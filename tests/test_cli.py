@@ -740,6 +740,30 @@ def test_out_on_a_file_is_one_error_line_before_any_run(
     assert files == (["taken", "taken/a-force"] if case == "side-file" else ["taken"])
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["run", "compare", "traj", "aor"])
+def test_empty_out_is_one_error_line_before_any_run(
+    tmp_path, capsys, monkeypatch, command, source
+):
+    # --out '' was dropped (files went to out/), and a config file's empty
+    # out wrote run.csv, summary.csv and status.txt into the current directory
+    def no_run(setup):
+        raise AssertionError("sim.run called with an empty out")
+
+    monkeypatch.setattr(sim, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        sources, out = ["--preset", "physical-force"], ["--out", ""]
+    else:
+        cfg = write(tmp_path, "[run]\npreset = physical-force\nout =\n")
+        sources, out = ["--config", str(cfg)], []
+    code = main([command, *sources * (2 if command == "compare" else 1), "--hops", "1", *out])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out must name a directory (use '.' for the current one)"]
+    assert [p.name for p in tmp_path.iterdir()] == ([] if source == "flag" else ["run.cfg"])
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_directory_in_place_of_an_output_file_is_one_error_line(tmp_path, capsys, command):
     # os.replace raised an IsADirectoryError traceback after the run

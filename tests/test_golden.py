@@ -22,9 +22,7 @@ import os
 import struct
 import subprocess
 import sys
-import threading
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import pytest
@@ -36,6 +34,8 @@ from hopsim.errors import UnreachableLengthError
 from hopsim.kinematics import LegJacobian
 from hopsim.metrics import AorCurve, aor_curve
 from hopsim.model import HopperParams, LegGeometry, MotorParams
+
+from conftest import reference_to_csv, task_force
 
 SPRING_CONFIG = "[run]\npreset = physical-force\ncontroller = spring\n"
 
@@ -326,16 +326,6 @@ def test_torque_at_bitwise_at_breakpoints_and_limits(curve):
 # --- CSV rows -----------------------------------------------------------------
 
 
-def reference_to_csv(log):
-    """TelemetryLog.to_csv as first written (a per-field join), kept as the oracle."""
-    lines = [log.csv_header()]
-    for r in log.records:
-        lines.append(
-            ",".join(r.phase if i == 1 else repr(v) for i, v in enumerate(r))
-        )
-    return "\n".join(lines) + "\n"
-
-
 CSV_NUMBERS = (
     st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-320, 5e-324])
@@ -411,21 +401,17 @@ def test_stream_that_raises_leaves_no_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-SHARE = sim._CSV_SHARE_MIN_ROWS
+def counted_forks(monkeypatch, cpus=2):
+    """Count the ``os.fork`` calls made on a host that shows ``cpus`` usable
+    CPUs; each call fails, so none starts a process."""
+    forks = []
 
+    def fork():
+        forks.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-def usable_cpus(monkeypatch, n):
-    """Make ``to_csv`` see ``n`` usable CPUs; the list of pids it forks."""
-    forks, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
     return forks
 
 
@@ -435,85 +421,40 @@ def assert_no_child_and_no_new_fd(fds_before):
     assert len(os.listdir("/proc/self/fd")) == fds_before
 
 
-# sizes just below, at and above the fork threshold (two shares), then logs
-# whose split points fall on a block edge, one row past it and mid-block
+def replayed_log(n, start, stop):
+    """An ``n``-row log whose rows from ``stop`` on copy the cycle
+    ``start:stop`` at new times, as ``sim._replay_cycle`` copies them."""
+    rows = special_records(stop)
+    for k in range(stop, n):
+        rows.append(sim.Record(1.5 * k + 0.1, *rows[start + (k - stop) % (stop - start)][1:]))
+    log = sim.TelemetryLog(records=rows)
+    log.cycle = (start, stop)
+    return log
+
+
+# cycles that start and stop on either side of a block edge, and one-row cycles
 @pytest.mark.parametrize(
-    ("cpus", "n", "splits"),
-    [
-        (2, 2 * SHARE - 1, []),
-        (2, 2 * SHARE, [SHARE]),
-        (2, 2 * SHARE + 1, [SHARE]),
-        (2, 2 * SHARE + 3, [SHARE + 1]),
-        (2, 2 * SHARE + CHUNK + 1, [SHARE + CHUNK // 2]),
-        (3, 3 * SHARE - 1, [(3 * SHARE - 1) // 2]),  # too few rows for three shares
-        (3, 3 * SHARE, [SHARE, 2 * SHARE]),
-        (3, 3 * SHARE + 2, [SHARE, 2 * SHARE + 1]),
-        (8, 3 * SHARE + 2, [SHARE, 2 * SHARE + 1]),
-    ],
+    ("start", "stop"),
+    [(0, CHUNK - 1), (0, CHUNK), (0, CHUNK + 1), (CHUNK - 1, CHUNK), (CHUNK - 1, CHUNK + 1),
+     (CHUNK, CHUNK + 1), (0, 1), (CHUNK + 1, CHUNK + 2)],
 )
-def test_forked_csv_equal_to_per_field_join(monkeypatch, cpus, n, splits):
-    forks = usable_cpus(monkeypatch, cpus)
-    assert sim._csv_bounds(n) == [0, *splits, n]
-    log = sim.TelemetryLog(records=special_records(n))
-    assert "".join(log.to_csv()) == reference_to_csv(log)
-    assert len(forks) == len(splits)
-
-
-def no_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-
-
-def failing_fork(monkeypatch):
-    def fork():
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", fork)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("setup", [no_fork, failing_fork, None], ids=["no-fork", "fork-fails", "fork"])
-def test_csv_without_helpers_equal_to_per_field_join(monkeypatch, cpus, setup):
-    # one CPU, no os.fork, or a fork that fails: formatted in-process
-    forks = usable_cpus(monkeypatch, cpus)
-    if setup is not None:
-        setup(monkeypatch)
-    log = sim.TelemetryLog(records=special_records(2 * SHARE + 1))
+@pytest.mark.parametrize("copies", [1, 2 * CHUNK + 3])
+def test_replayed_csv_equal_to_per_field_join(start, stop, copies):
+    log = replayed_log(stop + copies, start, stop)
     chunks = list(log.to_csv())
-    assert "".join(chunks) == reference_to_csv(log)
-    assert len(forks) == (1 if setup is None and cpus == 2 else 0)
-    if not forks:
-        assert len(chunks) == 1 + math.ceil((2 * SHARE + 1) / CHUNK)
+    lines = "".join(chunks).splitlines(keepends=True)
+    assert lines == reference_to_csv(log).splitlines(keepends=True)
+    assert len(chunks) == 1 + math.ceil(len(log.records) / CHUNK)
 
 
-def test_csv_forks_no_helper_while_another_thread_runs(monkeypatch):
-    forks = usable_cpus(monkeypatch, 2)
-    log = sim.TelemetryLog(records=special_records(2 * SHARE))
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        text = "".join(log.to_csv())
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert text == reference_to_csv(log)
+def test_compare_starts_no_process(tmp_path, monkeypatch):
+    # both sides' logs are long enough that run.csv was once formatted by
+    # forked helpers on a host with a second usable CPU
+    forks = counted_forks(monkeypatch)
+    argv = ["compare", "--preset", "physical-force", "--preset", "physical-position",
+            "--hops", "10", "--out", str(tmp_path)]
+    assert main(argv) == 0
     assert forks == []
-
-
-def test_closing_forked_csv_early_leaves_no_helper(monkeypatch):
-    fds = len(os.listdir("/proc/self/fd"))
-    forks = usable_cpus(monkeypatch, 3)
-    log = sim.TelemetryLog(records=special_records(3 * SHARE))
-    chunks = log.to_csv()
-    assert next(chunks) == log.csv_header() + "\n"
-    assert len(forks) == 2
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        chunks.close()
-        del chunks
-    assert [w for w in caught if w.category is ResourceWarning] == []  # temp files closed
-    assert_no_child_and_no_new_fd(fds)
 
 
 class ReprFails(float):
@@ -521,22 +462,25 @@ class ReprFails(float):
         raise ValueError("no repr")
 
 
-@pytest.mark.parametrize("row", [SHARE, 2 * SHARE - 1], ids=["first", "last"])
+@pytest.mark.parametrize("row", [0, 2 * CHUNK], ids=["first", "last"])
 def test_failing_helper_leaves_no_file_and_no_helper(monkeypatch, tmp_path, row):
+    # A row whose repr raises stops the write: no file, no process, no open fd.
     fds = len(os.listdir("/proc/self/fd"))
-    forks = usable_cpus(monkeypatch, 2)
-    rows = special_records(2 * SHARE)
-    rows[row] = rows[row]._replace(y_body=ReprFails(1.0))  # in the helper's share
-    with pytest.raises(RuntimeError, match=f"CSV helper for rows {SHARE}:{2 * SHARE} failed"):
+    forks = counted_forks(monkeypatch)
+    rows = special_records(2 * CHUNK + 1)
+    rows[row] = rows[row]._replace(y_body=ReprFails(1.0))
+    with pytest.raises(ValueError, match="no repr"):
         cli.write_atomic(tmp_path / "run.csv", sim.TelemetryLog(records=rows).to_csv())
-    assert len(forks) == 1
+    assert forks == []
     assert os.listdir(tmp_path) == []
     assert_no_child_and_no_new_fd(fds)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_writing_forked_csv_holds_one_read_not_the_log(tmp_path, monkeypatch, cpus):
-    forks = usable_cpus(monkeypatch, cpus)
+    # Named for the forked writer it first bounded: a 12 001-row log with
+    # no cycle is now formatted in this process, whatever the CPU count.
+    forks = counted_forks(monkeypatch, cpus)
     log = sim.TelemetryLog(records=special_records(12_001))
     target = tmp_path / "run.csv"
     tracemalloc.start()
@@ -545,9 +489,10 @@ def test_writing_forked_csv_holds_one_read_not_the_log(tmp_path, monkeypatch, cp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(forks) == cpus - 1
+    assert forks == []
     assert peak < 0.5e6, peak
-    assert target.read_text() == reference_to_csv(log)
+    lines = target.read_text().splitlines(keepends=True)
+    assert lines == reference_to_csv(log).splitlines(keepends=True)
 
 
 # --- SVG polyline -------------------------------------------------------------
@@ -831,7 +776,7 @@ def reference_joint_rates(theta_knee, v_leg, geo):
 
 
 def reference_task_force(tau_hip, tau_knee, theta_knee, geo):
-    """kinematics.task_force as first written, kept as the oracle."""
+    """task_force as first written in kinematics, kept as the oracle."""
     jac = reference_leg_jacobian(kinematics.JointState(theta_knee=theta_knee), geo)
     if jac.singular:
         return 0.0
@@ -851,7 +796,7 @@ def check_kinematics(geo, y, theta_knee, rate):
         (kinematics.inverse_kinematics, reference_inverse_kinematics, (y, geo)),
         (kinematics.leg_jacobian, reference_leg_jacobian, (js, geo)),
         (kinematics.joint_rates, reference_joint_rates, (theta_knee, rate, geo)),
-        (kinematics.task_force, reference_task_force, (rate, -rate, theta_knee, geo)),
+        (task_force, reference_task_force, (rate, -rate, theta_knee, geo)),
         (kinematics.knee_torque_for_force, reference_knee_torque_for_force,
          (rate, theta_knee, geo)),
     ]

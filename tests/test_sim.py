@@ -9,7 +9,7 @@ from hopsim import analytic, control, kinematics, metrics, sim
 from hopsim.model import Gains, HopPhase, HopperParams, MotorParams
 from hopsim.sim import RunSetup, SimState
 
-from conftest import ORACLE_MOTOR
+from conftest import ORACLE_MOTOR, reference_to_csv
 
 
 def make_state(phase, y_body, v_body, y_foot, v_foot):
@@ -416,6 +416,12 @@ class TestCycleReplay:
         assert res.ok and log_bits(res) == log_bits(ref)
         ticks = len(ref.log.records) - 1
         assert ref_calls == ticks and plant_calls < ticks  # the replay ran
+        # run.csv reuses the cycle rows' text, to the same bytes; compared
+        # line by line, so a failure names its first line, not a text diff
+        assert ref.log.cycle is None and res.log.cycle is not None
+        lines = "".join(res.log.to_csv()).splitlines(keepends=True)
+        assert lines == "".join(ref.log.to_csv()).splitlines(keepends=True)
+        assert lines == reference_to_csv(res.log).splitlines(keepends=True)
 
     @pytest.mark.parametrize("controller", ["force", "position", "spring"])
     def test_every_controller_attribute_that_changes_is_keyed(
