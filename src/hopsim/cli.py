@@ -37,15 +37,15 @@ class RunConfig:
     """
 
     preset: str | None = None
-    controller: str = "force"
+    controller: str = sim.RunSetup.controller
     params: HopperParams = field(default=model.PHYSICAL, metadata={"section": "hopper"})
     motor: MotorParams = MotorParams()
     gains: Gains | None = Gains()
     geometry: LegGeometry = LegGeometry()
     duration: float | None = None
     hops: int | None = None
-    dt: float = 2.5e-4
-    control_rate: float = 4000.0
+    dt: float = sim.RunSetup.dt
+    control_rate: float = sim.RunSetup.control_rate
     out: str = "out"
     plots: bool = False
 
@@ -264,18 +264,17 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
         raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
-def _check_out_dirs(*dirs: Path) -> None:
-    """Reject output directories that cannot be made because they name a
-    file or a path under one; called before any run, it writes nothing."""
+def _admit(setups: Iterable[sim.RunSetup], *dirs: Path) -> None:
+    """Every command's last input check, before it runs or writes anything.
+
+    Rejects an output directory that cannot be made because it names a file
+    or a path under one; then prints one ``warning:`` line on stderr per
+    validation warning of each setup.
+    """
     for d in dirs:
         existing = next((p for p in (d, *d.parents) if p.exists()), None)
         if existing is not None and not existing.is_dir():
             raise ConfigError(f"cannot write to {str(d)!r}: {str(existing)!r} is not a directory")
-
-
-def _print_warnings(*setups: sim.RunSetup) -> None:
-    """One ``warning:`` line on stderr per validation warning of each setup;
-    printed once every input check has passed, before anything runs."""
     for setup in setups:
         for warning in setup.bundle.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -353,45 +352,47 @@ def _aor_series(curve: metrics.AorCurve) -> svg.Series:
 
 
 class _RunOutput(NamedTuple):
-    """A run's summary and its plot data, each built once."""
+    """What outlives a run's log: its summary and plot data, each built once."""
 
     summary: RunSummary
     curve: metrics.AorCurve
     trace: tuple  # knee (speed, |torque|) over stance
     foot: tuple | None  # (t, y_foot), built only for plots
+    c_act: tuple | None  # (t, knee C_act capped at 1.5), built only for overlays
 
 
-def _emit_run_files(
-    out: Path, result: sim.RunResult, plots: bool, overlay: bool = False
-) -> _RunOutput:
-    """Write one run's files; ``overlay`` keeps the foot series for a
-    comparison plot even when this run writes no plots of its own."""
-    write_atomic(out / "run.csv", result.log.to_csv())
-    curve = metrics.aor_curve(result.setup.bundle.motor)
-    trace = tuple(metrics.speed_torque_trace(result.log))
+def _run_side(out: Path, setup: sim.RunSetup, plots: bool, overlay: bool = False) -> _RunOutput:
+    """Run ``setup`` and write its files into ``out``; the log is dropped on
+    return.  ``overlay`` keeps the series of a comparison's plots even when
+    this run writes no plots of its own."""
+    result = sim.run(setup)
+    log = result.log
+    write_atomic(out / "run.csv", log.to_csv())
+    curve = metrics.aor_curve(setup.bundle.motor)
+    trace = tuple(metrics.speed_torque_trace(log))
     summary = summarize(result, curve, trace)
     write_atomic(out / "summary.csv", _csv([f.name for f in fields(summary)], [astuple(summary)]))
     write_atomic(out / "status.txt", result.status + "\n")
-    foot = None
+    foot = c_act = None
     if plots or overlay:
-        foot = tuple((r.t, r.y_foot) for r in result.log.records)
+        foot = tuple((r.t, r.y_foot) for r in log.records)
+    if overlay:
+        c_act = tuple((r.t, min(r.c_act_knee, 1.5)) for r in log.records)
     if plots:
-        series = [_aor_series(curve), svg.Series(trace, result.setup.controller)]
+        series = [_aor_series(curve), svg.Series(trace, setup.controller)]
         _plot(out / "aor.svg", series, *_TRACE_AXES)
         _plot(out / "foot.svg", [svg.Series(foot, "foot height")], *_FOOT_AXES)
-    return _RunOutput(summary, curve, trace, foot)
+    return _RunOutput(summary, curve, trace, foot, c_act)
 
 
 def cmd_run(config: RunConfig) -> int:
     """Execute one run and write run.csv, summary.csv, status.txt (and plots)."""
     setup = config.resolve()
     out = Path(config.out)
-    _check_out_dirs(out)
-    _print_warnings(setup)
-    result = sim.run(setup)
-    _emit_run_files(out, result, config.plots)
-    if not result.ok:
-        print(f"run aborted: {result.log.failure}", file=sys.stderr)
+    _admit([setup], out)
+    status = _run_side(out, setup, config.plots).summary.status
+    if status != "ok":
+        print(f"run {status}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -414,17 +415,16 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
     aborts is marked failed while the other side is still reported.  Both
     sides are checked before either runs, so invalid input writes no file.
     """
+    configs = (config_a, config_b)
     out = Path(config_a.out)
     overlay = config_a.plots or config_b.plots
-    setups = [cfg.resolve() for cfg in (config_a, config_b)]
-    subs = [out / f"{label}-{cfg.controller}" for label, cfg in zip("ab", (config_a, config_b))]
-    _check_out_dirs(*subs)
-    _print_warnings(*setups)
-    results, outputs = [], []
-    for cfg, setup, sub in zip((config_a, config_b), setups, subs):
-        result = sim.run(setup)
-        outputs.append(_emit_run_files(sub, result, cfg.plots, overlay))
-        results.append(result)
+    setups = [cfg.resolve() for cfg in configs]
+    subs = [out / f"{label}-{cfg.controller}" for label, cfg in zip("ab", configs)]
+    _admit(setups, *subs)
+    outputs = [
+        _run_side(sub, setup, cfg.plots, overlay)
+        for cfg, setup, sub in zip(configs, setups, subs)
+    ]
     sa, sb = (o.summary for o in outputs)
 
     rows = []
@@ -446,14 +446,11 @@ def cmd_compare(config_a: RunConfig, config_b: RunConfig) -> int:
         labels = [f"a:{sa.controller}", f"b:{sb.controller}"]
         foot = [svg.Series(o.foot, label) for o, label in zip(outputs, labels)]
         _plot(out / "foot_height.svg", foot, *_FOOT_AXES)
-        cact = [
-            svg.Series(tuple((r.t, min(r.c_act_knee, 1.5)) for r in res.log.records), label)
-            for res, label in zip(results, labels)
-        ]
+        cact = [svg.Series(o.c_act, label) for o, label in zip(outputs, labels)]
         _plot(out / "c_act.svg", cact, "knee saturation ratio", "t (s)", "C_act")
         traces = [svg.Series(o.trace, label) for o, label in zip(outputs, labels)]
         _plot(out / "trace_aor.svg", [_aor_series(outputs[0].curve), *traces], *_TRACE_AXES)
-    if not results[0].ok and not results[1].ok:
+    if sa.status != "ok" and sb.status != "ok":
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -468,8 +465,7 @@ def cmd_traj(config: RunConfig) -> int:
             f"trajectory rows in one {cycle.period!r} s period"
         )
     out = Path(config.out)
-    _check_out_dirs(out)
-    _print_warnings(setup)
+    _admit([setup], out)
     step = 1.0 / setup.control_rate
     times = [i * step for i in range(int(cycle.period / step) + 1)]
     pts = tuple((t, cycle.y_des(t)) for t in times)  # y_des once per row, for CSV and plot
@@ -485,9 +481,10 @@ def cmd_traj(config: RunConfig) -> int:
 
 def cmd_aor(config: RunConfig) -> int:
     """Emit the admissible operating region boundary as CSV (and SVG)."""
-    curve = metrics.aor_curve(config.validated().motor)
+    setup = config.resolve()
     out = Path(config.out)
-    _check_out_dirs(out)
+    _admit([setup], out)
+    curve = metrics.aor_curve(setup.bundle.motor)
     write_atomic(out / "aor.csv", _csv(("speed", "torque"), curve.points))
     if config.plots:
         _plot(

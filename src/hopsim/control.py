@@ -1,8 +1,8 @@
 """Torque laws, the actuator saturation envelope, and controller pipelines.
 
-All commanded torques pass through the same speed-dependent clamp: the joint
-cannot exceed the geared torque-speed envelope of its motor.  Three command
-sources are provided:
+All commanded torques pass through one clamp step, :func:`clamp_joints`:
+each joint's raw torque is clipped to the geared torque-speed envelope of
+its motor at the joint's current speed.  Three command sources feed it:
 
 * ForceController  — stance PD law with a large proportional gain, intended
   to ride the saturation envelope through stance.
@@ -78,6 +78,18 @@ def make_command(tau_dyn: float, thetad_act: float, motor: MotorParams) -> Torqu
     """Run one raw torque through the envelope clamp."""
     tau_sat = actuator_saturation(thetad_act, motor)
     return TorqueCommand(tau_dyn, tau_sat, clamp(tau_dyn, tau_sat))
+
+
+def clamp_joints(
+    tau_hip: float, tau_knee: float, joints, motor: MotorParams, ik_clamped: bool = False
+) -> JointCommands:
+    """Both joints' raw torques through the envelope clamp, at the speeds
+    of ``joints``; every controller's command ends here."""
+    return JointCommands(
+        make_command(tau_hip, joints.thetad_hip, motor),
+        make_command(tau_knee, joints.thetad_knee, motor),
+        ik_clamped,
+    )
 
 
 def position_tracking_gains(motor: MotorParams) -> Gains:
@@ -188,14 +200,10 @@ class ForceController(_TrajectoryController):
 
     def command(self, state) -> JointCommands:
         th_h, th_k, _, _, clamped = self.joint_targets()
-        js, gains, motor = state.joints, self.gains, self.motor
+        js, gains = state.joints, self.gains
         tau_h = pd_torque(js.theta_hip, js.thetad_hip, th_h, gains)
         tau_k = pd_torque(js.theta_knee, js.thetad_knee, th_k, gains)
-        return JointCommands(
-            make_command(tau_h, js.thetad_hip, motor),
-            make_command(tau_k, js.thetad_knee, motor),
-            clamped,
-        )
+        return clamp_joints(tau_h, tau_k, js, self.motor, clamped)
 
 
 class PositionController(_TrajectoryController):
@@ -207,15 +215,11 @@ class PositionController(_TrajectoryController):
 
     def command(self, state) -> JointCommands:
         th_h, th_k, thd_h, thd_k, clamped = self.joint_targets()
-        js, motor = state.joints, self.motor
+        js = state.joints
         k_p, k_d = self.gains.k_p, self.gains.k_d
         tau_h = k_p * (th_h - js.theta_hip) + k_d * (thd_h - js.thetad_hip)
         tau_k = k_p * (th_k - js.theta_knee) + k_d * (thd_k - js.thetad_knee)
-        return JointCommands(
-            make_command(tau_h, js.thetad_hip, motor),
-            make_command(tau_k, js.thetad_knee, motor),
-            clamped,
-        )
+        return clamp_joints(tau_h, tau_k, js, self.motor, clamped)
 
 
 class VirtualSpringController:
@@ -254,8 +258,5 @@ class VirtualSpringController:
         tau_k = kinematics.knee_torque_for_force(
             force, state.joints.theta_knee, self.geometry
         )
-        return JointCommands(
-            make_command(0.0, state.joints.thetad_hip, self.motor),
-            make_command(tau_k, state.joints.thetad_knee, self.motor),
-        )
+        return clamp_joints(0.0, tau_k, state.joints, self.motor)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -304,7 +305,7 @@ class TestCmdRun:
         # the run cases keep their ids: nan, inf, 0
         [
             pytest.param(command, value, id=value if command == "run" else f"{command}-{value}")
-            for command in ("run", "traj")
+            for command in ("run", "traj", "aor")
             for value in ("nan", "inf", "0")
         ],
     )
@@ -404,7 +405,7 @@ class TestCmdRun:
         assert len(err) == 1 and err[0].startswith("error: no lift-off"), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "traj", "compare", "spring"])
+    @pytest.mark.parametrize("command", ["run", "traj", "compare", "spring", "aor"])
     @pytest.mark.parametrize(
         "line",
         [
@@ -417,7 +418,8 @@ class TestCmdRun:
         # compute: overflow, an infinite constant, a period that is zero or
         # infinite.  The spring law reads no cycle, but its setup builds one:
         # a spring run with C_amp = 1e300 ended ok, with k_s = 1.7e308 it ran
-        # the whole 30 s guard to exit 2.
+        # the whole 30 s guard to exit 2; aor, which reads only the motor,
+        # wrote its files and exited 0.
         cfg = write(tmp_path, f"[run]\npreset = physical-force\n[hopper]\n{line}\n")
         out = tmp_path / "o"
         other = ["--preset", "physical-position"] if command == "compare" else []
@@ -614,6 +616,43 @@ class TestCmdCompare:
         _, a, b, _ = status_row.split(",", 3)
         assert a.startswith("aborted") and b == "ok"
 
+    def test_both_sides_aborted_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "both"
+        code = main([
+            "compare", "--preset", "paper-literal-force", "--preset", "paper-literal-position",
+            "--hops", "1", "--out", str(out),
+        ])
+        assert code == 2
+        unreachable = "aborted: desired trajectory unreachable"
+        for side in ("a-force", "b-position"):
+            assert (out / side / "status.txt").read_text().startswith(unreachable), side
+        lines = (out / "compare.csv").read_text().splitlines()
+        status_row = [l for l in lines if l.startswith("status,")][0]
+        _, a, b, _ = status_row.split(",", 3)
+        assert a.startswith(unreachable) and b.startswith(unreachable)
+        assert capsys.readouterr().err.splitlines() == [LIFT_WARNING, LIFT_WARNING]
+
+    def test_side_a_log_is_freed_before_side_b_runs(self, tmp_path, monkeypatch):
+        # compare held both sides' results until the end, so the first log
+        # stayed alive through the second run
+        inner = sim.run
+        logs, alive = [], []
+
+        def tracking(setup):
+            alive.append([ref() is not None for ref in logs])
+            result = inner(setup)
+            logs.append(weakref.ref(result.log))
+            return result
+
+        monkeypatch.setattr(sim, "run", tracking)
+        code = main([
+            "compare", "--preset", "physical-force", "--preset", "physical-position",
+            "--hops", "1", "--out", str(tmp_path / "cmp"), "--plots",
+        ])
+        assert code == 0
+        assert alive == [[], [False]]
+        assert (tmp_path / "cmp" / "c_act.svg").is_file()
+
     def test_summarizes_each_side_once(self, tmp_path, monkeypatch):
         calls = []
         inner = cli.summarize
@@ -699,6 +738,24 @@ class TestCmdTrajAor:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "omega_max" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "reason"),
+        [
+            (["--dt", "nan"], "dt must be positive and finite"),
+            (["--hops", "0"], "hops must be at least 1"),
+            (["--duration", "-1"], "duration must be non-negative and finite"),
+        ],
+        ids=["dt-nan", "hops-0", "duration-negative"],
+    )
+    def test_aor_rejects_bad_run_knobs(self, tmp_path, capsys, flags, reason):
+        # aor read only the motor, so each of these wrote aor.csv and exited 0
+        out = tmp_path / "aor"
+        code = main(["aor", "--preset", "physical-force", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {reason}"), err
         assert not out.exists()
 
     def test_presets_listing(self, capsys):
@@ -806,8 +863,9 @@ LIFT_WARNING = "warning: lift-off height 0.9116 m exceeds reach 0.741 m"
         (["run", "--preset", "paper-literal-force"], 2, ["run aborted: desired trajectory "]),
         (["compare", "--preset", "paper-literal-force", "--preset", "physical-force"], 0, []),
         (["traj", "--preset", "paper-literal-position"], 0, []),
+        (["aor", "--preset", "paper-literal-force"], 0, []),
     ],
-    ids=["run", "compare", "traj"],
+    ids=["run", "compare", "traj", "aor"],
 )
 def test_validation_warning_is_printed_once_before_the_run(tmp_path, capsys, argv, code, after):
     assert main([*argv, "--hops", "1", "--out", str(tmp_path / "o")]) == code
@@ -818,7 +876,7 @@ def test_validation_warning_is_printed_once_before_the_run(tmp_path, capsys, arg
         assert line.startswith(start), err
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "traj"])
+@pytest.mark.parametrize("command", ["run", "compare", "traj", "aor"])
 def test_physical_presets_print_no_warning(tmp_path, capsys, command):
     sources = ["--preset", "physical-force", "--preset", "physical-position"]
     argv = [command, *(sources if command == "compare" else sources[:2])]
