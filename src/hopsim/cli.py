@@ -269,7 +269,7 @@ def _admit(setups: Iterable[sim.RunSetup], *dirs: Path) -> None:
 
     Rejects an output directory that cannot be made because it names a file
     or a path under one; then prints one ``warning:`` line on stderr per
-    validation warning of each setup.
+    validation warning of each setup and per ``dt`` the plant cannot keep.
     """
     for d in dirs:
         existing = next((p for p in (d, *d.parents) if p.exists()), None)
@@ -278,6 +278,9 @@ def _admit(setups: Iterable[sim.RunSetup], *dirs: Path) -> None:
     for setup in setups:
         for warning in setup.bundle.warnings:
             print(f"warning: {warning}", file=sys.stderr)
+        if abs(setup.dt_sub - setup.dt) > 1e-9 * setup.dt:
+            print(f"warning: dt={setup.dt!r} runs as {setup.dt_sub!r} ({setup.n_sub} substeps "
+                  f"per 1/{setup.control_rate:g} s tick)", file=sys.stderr)
 
 
 def _median_interval(times: list[float]) -> float | None:

@@ -13,18 +13,17 @@ controller, and the CLI's ``compare`` and ``traj``, read that one cycle.
 
 Each tick of :func:`run` goes command -> record -> plant -> landings ->
 clock, and :func:`run` makes every controller call.  The plant,
-:func:`_advance_tick`, calls none: it builds its force evaluation from the
-tick's held command or the controller's continuous force law (a function of
-the leg length alone), steps the plant and locates events, evaluating each
-distinct leg configuration once.  The force evaluated at the state after a
-substep is that step's post-step pin force and the next substep's stage-1
-force and pre-step pin force; the last evaluation of a tick also gives the
-joint state recorded for it, and its leg terms ride on the returned state
-into the next tick, whose first force differs only in the held torques.
-Only the stage 2-4 states of each RK4 step, the state after an event, and
-the start state of a run are evaluated afresh.  The reuse changes no
-floating-point operation, so telemetry is byte-identical to evaluating
-every configuration each time it is needed.
+:func:`_advance_tick`, calls none: it takes the controller's continuous
+force law or builds one from the tick's held command (:func:`_held_force_law`),
+steps the plant and locates events.  The force at the state after a substep
+is that step's post-step pin force and the next substep's stage-1 force and
+pre-step pin force, so each leg configuration is evaluated once.  The leg
+terms are computed once per tick, at its end state: they give the joint
+state recorded for it and ride on the returned state into the next tick,
+whose first force differs only in the held torques.  The leg stops are
+called only when a substep leaves their interval.  None of this changes a
+floating-point operation, so telemetry is byte-identical to evaluating every
+configuration each time it is needed.
 
 Nothing in a tick reads the time ``t``, so a run whose whole state repeats
 repeats its ticks.  At the first tick after each landing :func:`run` keys
@@ -239,6 +238,14 @@ class RunSetup:
         """The closed-form hop cycle of the setup's hopper, built once."""
         return analytic.TrajectoryCycle(self.bundle.params)
 
+    @cached_property
+    def n_sub(self) -> int:  # plant substeps per control tick: period / dt, rounded
+        return max(1, round((1.0 / self.control_rate) / self.dt))
+
+    @cached_property
+    def dt_sub(self) -> float:  # the plant's substep: dt only if dt divides the period
+        return (1.0 / self.control_rate) / self.n_sub
+
 
 @dataclass
 class RunResult:
@@ -276,6 +283,26 @@ def _leg_terms(y_rel: float, geo: LegGeometry):
     )
 
 
+def _held_force_law(tau_h: float, tau_k: float, geo: LegGeometry) -> Callable[[float], float]:
+    """The task force of held joint torques at a leg length, bit for bit the
+    force from :func:`_leg_terms`: its operations inline and in its order."""
+    y_lo, y_hi, _, _, sum_sq, two_l1l2, neg_l1l2, neg_l2, l1, l2, knee_sign = geo.constants
+    acos, sin, pi = math.acos, math.sin, math.pi
+
+    def law(y_rel: float) -> float:
+        y = y_lo if y_rel < y_lo else y_rel
+        if y > y_hi:
+            y = y_hi
+        cos_gamma = (sum_sq - y * y) / two_l1l2
+        if not -1.0 < cos_gamma < 1.0:
+            cos_gamma = 1.0 if cos_gamma >= 1.0 else -1.0
+        dy_dknee = neg_l1l2 * sin(knee_sign * (pi - acos(cos_gamma))) / y
+        dhip_dknee = neg_l2 * (l2 - l1 * cos_gamma) / (y * y)
+        return 0.0 if dy_dknee == 0.0 else (tau_k + tau_h * dhip_dknee) / dy_dknee
+
+    return law
+
+
 def _joints_from(terms, v_rel: float, geo: LegGeometry) -> kinematics.JointState:
     """Joint angles and rates of the aligned leg from its leg terms."""
     theta_k, dy_dknee, dhip_dknee = terms
@@ -298,6 +325,7 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
     real linkage stops there.  The stops are plastic: relative motion into a
     stop is absorbed (stance: the body stops on the folded or straight leg;
     flight: both masses continue at the common center-of-mass velocity).
+    Called only when the leg length ``yb - yf`` is not between the stops.
     """
     lo, hi = geo.constants.y_lo, geo.constants.y_hi
     if phase is HopPhase.STANCE:
@@ -307,8 +335,6 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
             yb, vb = hi, min(vb, 0.0)
         return yb, vb, yf, vf
     y_rel = yb - yf
-    if lo <= y_rel <= hi:
-        return yb, vb, yf, vf
     cap = lo if y_rel < lo else hi
     total = p.m + p.m_e
     y_com = (p.m * yb + p.m_e * yf) / total
@@ -334,11 +360,11 @@ def _rk4_stance(y, v, f, dt, p: HopperParams, law):
     h = 0.5 * dt
     a1 = -g + f * inv_m
     y2, v2 = y + h * v, v + h * a1
-    a2 = -g + law(y2)[0] * inv_m
+    a2 = -g + law(y2) * inv_m
     y3, v3 = y + h * v2, v + h * a2
-    a3 = -g + law(y3)[0] * inv_m
+    a3 = -g + law(y3) * inv_m
     y4, v4 = y + dt * v3, v + dt * a3
-    a4 = -g + law(y4)[0] * inv_m
+    a4 = -g + law(y4) * inv_m
     dt6 = dt / 6.0
     y_n = y + dt6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
     v_n = v + dt6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -358,15 +384,15 @@ def _rk4_flight(yb, vb, yf, vf, f, dt, p: HopperParams, law):
     ab1, af1 = -g + f * inv_m, -g - f * inv_me
     yb2, vb2 = yb + h * vb, vb + h * ab1
     yf2, vf2 = yf + h * vf, vf + h * af1
-    f = law(yb2 - yf2)[0]
+    f = law(yb2 - yf2)
     ab2, af2 = -g + f * inv_m, -g - f * inv_me
     yb3, vb3 = yb + h * vb2, vb + h * ab2
     yf3, vf3 = yf + h * vf2, vf + h * af2
-    f = law(yb3 - yf3)[0]
+    f = law(yb3 - yf3)
     ab3, af3 = -g + f * inv_m, -g - f * inv_me
     yb4, vb4 = yb + dt * vb3, vb + dt * ab3
     yf4, vf4 = yf + dt * vf3, vf + dt * af3
-    f = law(yb4 - yf4)[0]
+    f = law(yb4 - yf4)
     ab4, af4 = -g + f * inv_m, -g - f * inv_me
     dt6 = dt / 6.0
     yb_n = yb + dt6 * (vb + 2.0 * vb2 + 2.0 * vb3 + vb4)
@@ -461,9 +487,7 @@ def run(setup: RunSetup) -> RunResult:
     ``failure`` field carries the reason.
     """
     p, geo = setup.bundle.params, setup.bundle.geometry
-    period = 1.0 / setup.control_rate
-    n_sub = max(1, round(period / setup.dt))
-    dt_sub = period / n_sub
+    period, n_sub, dt_sub = 1.0 / setup.control_rate, setup.n_sub, setup.dt_sub
     controller = CONTROLLERS[setup.controller](setup)
 
     t_end = _end_time(setup)
@@ -580,33 +604,24 @@ def _replay_cycle(log, start, event_ticks, t, landings, done, plant, n_sub, dt_s
 def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState:
     """Integrate one control tick of ``n_sub`` substeps under ``cmd``, held.
 
-    Held torques map to the task force through the leg terms at the leg
-    length, which are returned with it for reuse; a continuous ``force_law``
-    (not None) replaces them and reads no leg terms.  Each substep is one
+    Held torques map to the task force through :func:`_held_force_law`; a
+    continuous ``force_law`` (not None) replaces it.  Each substep is one
     RK4 step of the active phase from the force at its start state, then the
     leg stops.  Phase events found inside a substep are appended to
     ``log.events`` and the rest of the substep is integrated in the new
-    phase.  Returns the end state, carrying its leg terms for the next tick
-    to start from (None under a continuous force law).
+    phase.  Returns the end state with its leg terms (the tick's one
+    :func:`_leg_terms` call), which give the next tick's first held force.
     """
-    if force_law is None:
-        tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
-
-        def law(y_rel, terms=None):
-            if terms is None:
-                terms = _leg_terms(y_rel, geo)
-            dy_dknee = terms[1]
-            if dy_dknee == 0.0:
-                return 0.0, terms
-            return (tau_k + tau_h * terms[2]) / dy_dknee, terms
-    else:
-        def law(y_rel, terms=None):
-            return force_law(y_rel), None
+    tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
+    law = _held_force_law(tau_h, tau_k, geo) if force_law is None else force_law
+    terms = state.terms if force_law is None else None
 
     t, phase = state.t, state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
+    lo, hi = geo.constants.y_lo, geo.constants.y_hi
     weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
-    f, terms = law(yb - yf, state.terms)
+    f = (law(yb - yf) if terms is None
+         else 0.0 if terms[1] == 0.0 else (tau_k + tau_h * terms[2]) / terms[1])
 
     for _ in range(n_sub):
         dt_left = dt_sub
@@ -617,17 +632,18 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
                 nyf, nvf = yf, vf
             else:
                 nyb, nvb, nyf, nvf = _rk4_flight(yb, vb, yf, vf, f, dt_left, p, law)
-            nyb, nvb, nyf, nvf = _apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
+            if not lo <= nyb - nyf <= hi:  # a stance foot is exactly 0.0
+                nyb, nvb, nyf, nvf = _apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
             if not (math.isfinite(nyb) and math.isfinite(nvb)
                     and math.isfinite(nyf) and math.isfinite(nvf)):
                 raise SimulationAbort(f"non-finite state at t={t + dt_left:.6f}")
-            nf, nterms = law(nyb - nyf)
+            nf = law(nyb - nyf)
             tr = None
             if events_seen < _MAX_EVENTS_PER_STEP:
                 # _crossing reads the pin forces only in stance.
                 tr = _crossing(phase, weight_e + f, weight_e + nf, yf, nyf, vf, nvf)
             if tr is None:
-                yb, vb, yf, vf, f, terms = nyb, nvb, nyf, nvf, nf, nterms
+                yb, vb, yf, vf, f = nyb, nvb, nyf, nvf, nf
                 t += dt_left
                 break
             # Interpolate the state to the event time, switch phase, and
@@ -647,10 +663,10 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
             log.events.append(Event(kind, t_ev, yb, vb))
             dt_left -= frac * dt_left
             t = t_ev
-            f, terms = law(yb - yf)
+            f = law(yb - yf)
 
-    joints = _joints_from(terms if terms is not None else _leg_terms(yb - yf, geo), vb - vf, geo)
-    return SimState(t, phase, yb, vb, yf, vf, joints, terms)
+    terms = _leg_terms(yb - yf, geo)
+    return SimState(t, phase, yb, vb, yf, vf, _joints_from(terms, vb - vf, geo), terms)
 
 
 # --- two-mass model reference integration ----------------------------------
@@ -696,16 +712,12 @@ class TwoMassReference:
         self.p = p
         self.dt = dt
         self.y_lift = p.m_e * p.g / p.k_s + p.y_s_neu
-        self._mu = p.m * p.m_e / (p.m + p.m_e)
-
-    def _pin(self, y: float) -> float:
-        return self.p.m_e * self.p.g - self.p.k_s * (y - self.p.y_s_neu)
-
-    def _acc_stance(self, y: float) -> float:
-        return -(self.p.k_s / self.p.m) * (y - self.p.y_s_neu)
-
-    def _acc_flight(self, y: float) -> float:
-        return -(self.p.k_s / self._mu) * (y - self.p.y_s_neu)
+        # the pin force and the two accelerations, their constants computed once
+        weight_e, k_s, y_neu = p.m_e * p.g, p.k_s, p.y_s_neu
+        w_stance, w_flight = k_s / p.m, k_s / (p.m * p.m_e / (p.m + p.m_e))
+        self._pin = lambda y: weight_e - k_s * (y - y_neu)
+        self._acc_stance = lambda y: -w_stance * (y - y_neu)
+        self._acc_flight = lambda y: -w_flight * (y - y_neu)
 
     def _rk4(self, y, v, dt, acc):
         a1 = acc(y)

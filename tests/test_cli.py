@@ -884,6 +884,25 @@ def test_physical_presets_print_no_warning(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    ("dt", "warnings"),
+    [
+        ("1e-3", ["warning: dt=0.001 runs as 0.00025 (1 substeps per 1/4000 s tick)"]),
+        ("1.5e-4", ["warning: dt=0.00015 runs as 0.000125 (2 substeps per 1/4000 s tick)"]),
+        ("2.5e-5", []),
+        (None, []),
+    ],
+    ids=["longer-than-tick", "non-divisor", "divisor", "default"],
+)
+def test_dt_that_does_not_divide_the_tick_warns(tmp_path, capsys, dt, warnings):
+    # the plant rounds the control period over dt to whole substeps; a dt it
+    # cannot keep still runs, at the substep the warning names
+    flags = [] if dt is None else ["--dt", dt]
+    argv = ["run", "--preset", "physical-force", "--hops", "1", *flags]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err.splitlines() == warnings
+
+
 @pytest.mark.parametrize("case", ["bad-knob", "blocked-file"])
 def test_input_errors_still_print_one_error_line(tmp_path, capsys, case):
     # a knob fails before the warnings; a blocked output file fails after

@@ -1,12 +1,14 @@
 """Byte-identity gate for the controller, the plant and the output layer.
 
 Pinned digests: ``run.csv`` of single runs, every file of a plotted
-force-vs-position comparison and of the other CLI cases, and
-``RunConfig.to_text``.  Bitwise oracles: the leg-terms kernel, the
-AOR lookup, the CSV row format, the SVG polyline, the trajectory cycle, the
-leg kinematics and the envelope command, each against a verbatim copy of the
-code it replaced.  Writing ``run.csv`` streams it in chunks, with a bound on
-the memory that takes whatever the log's length.
+force-vs-position comparison and of the other CLI cases,
+``RunConfig.to_text`` and the two-mass reference's events.  Bitwise
+oracles: the leg-terms kernel, the AOR lookup, the CSV row format, the SVG
+polyline, the trajectory cycle, the leg kinematics and the envelope
+command, each against a verbatim copy of the code it replaced, and the
+plant's held force law against the force taken from the leg terms.
+Writing ``run.csv`` streams it in chunks, with a bound on the memory that
+takes whatever the log's length.
 
 The run.csv digests were taken before the plant's inner loop was rebuilt to
 evaluate each leg configuration once; the comparison digests before the
@@ -119,6 +121,76 @@ def test_leg_terms_bitwise_equal_to_reference(L1, L2, knee_sign, scale):
 )
 def test_leg_terms_bitwise_at_stops_and_limits(geo, y_rel):
     assert bits(sim._leg_terms(y_rel, geo)) == bits(reference_leg_terms(y_rel, geo))
+
+
+def force_from_leg_terms(tau_h, tau_k, y_rel, geo):
+    """The held task force as the plant first took it from the leg terms."""
+    t = sim._leg_terms(y_rel, geo)
+    return 0.0 if t[1] == 0.0 else (tau_k + tau_h * t[2]) / t[1]
+
+
+# Links so long that the reach margin rounds away: the length caps at the
+# straight leg, where dy_dknee is 0.
+STRAIGHT_LEG = LegGeometry(L1=1e13, L2=1e13)
+
+
+@pytest.mark.parametrize(
+    ("tau_h", "tau_k"),
+    [(0.0, 0.0), (-0.0, -0.0), (1.5, 2.5), (1.5, -2.5), (-3.0, 4.0), (-3.0, -4.0)],
+)
+@pytest.mark.parametrize(
+    "geo",
+    [
+        LegGeometry(),
+        LegGeometry(L1=0.3, L2=0.45, knee_sign=-1),
+        LegGeometry(L1=0.0004, L2=0.3),
+        STRAIGHT_LEG,
+    ],
+)
+def test_held_force_law_bitwise_equal_to_leg_terms(geo, tau_h, tau_k):
+    c = geo.constants
+    lengths = [c.y_lo + k / 16 * (c.y_hi - c.y_lo) for k in range(17)] + [
+        c.y_lo - 1.0, 0.5 * c.y_lo, 0.0, -0.0, 2.0 * c.y_hi, c.y_hi + 1.0,
+        math.inf, -math.inf, math.nan,
+    ]
+    law = sim._held_force_law(tau_h, tau_k, geo)
+    for y_rel in lengths:
+        assert bits([law(y_rel)]) == bits([force_from_leg_terms(tau_h, tau_k, y_rel, geo)]), y_rel
+
+
+def test_held_force_law_covers_the_straight_leg():
+    # the sweep above reaches dy_dknee == 0, where the force is 0.0
+    assert sim._leg_terms(math.inf, STRAIGHT_LEG)[1] == 0.0
+    assert bits([sim._held_force_law(1.5, -2.5, STRAIGHT_LEG)(math.inf)]) == bits([0.0])
+
+
+@given(
+    L1=links,
+    L2=links,
+    knee_sign=st.sampled_from([1, -1]),
+    scale=st.floats(min_value=-0.5, max_value=1.5),
+    tau_h=st.floats(min_value=-50.0, max_value=50.0),
+    tau_k=st.floats(min_value=-50.0, max_value=50.0),
+)
+def test_held_force_law_bitwise_equal_on_random_legs(L1, L2, knee_sign, scale, tau_h, tau_k):
+    geo = LegGeometry(L1=L1, L2=L2, knee_sign=knee_sign)
+    lo, hi = abs(L1 - L2), L1 + L2
+    y_rel = lo + scale * (hi - lo)
+    law = sim._held_force_law(tau_h, tau_k, geo)
+    assert bits([law(y_rel)]) == bits([force_from_leg_terms(tau_h, tau_k, y_rel, geo)])
+
+
+# dt -> sha256 of repr(TwoMassReference(physical, dt).run(hops=3).events)
+REFERENCE_EVENTS = {
+    2.5e-4: "535db875de05bd3586e04ac153df21a36aa1fa452c144ad6a81f980a5878731a",
+    2.5e-5: "c58a9a63a2d429ef9d3dfe375088b3afb91d5b2e8dab2fabb7f5d991930b12af",
+}
+
+
+@pytest.mark.parametrize("dt", sorted(REFERENCE_EVENTS))
+def test_reference_events_digest(physical, dt):
+    events = sim.TwoMassReference(physical, dt).run(hops=3).events
+    assert hashlib.sha256(repr(events).encode()).hexdigest() == REFERENCE_EVENTS[dt]
 
 
 # path under --out -> sha256 of each file that

@@ -293,23 +293,36 @@ class TestRun:
     def test_leg_terms_evaluated_once_per_configuration(
         self, bundle_physical, monkeypatch, controller, dt
     ):
-        # four per RK4 substep (stages 2-4 and the end state), five per event
-        # (the event state and the remainder's substep), one for the initial
-        # joint state and one for the first tick: a tick starts from the leg
-        # terms the previous tick ended on
-        calls = []
-        inner = sim._leg_terms
+        # Forces: four per RK4 substep (stages 2-4 and the end state), five
+        # per event (the event state and the remainder's substep) and the
+        # run's first; every later tick takes its first force from the leg
+        # terms the previous tick ended on.  Leg terms: one for the initial
+        # joint state and one for each tick's end state, nowhere else.
+        forces, terms = [], []
+        law_factory, leg_terms = sim._held_force_law, sim._leg_terms
 
-        def counting(y_rel, geo):
-            calls.append(1)
-            return inner(y_rel, geo)
+        def counting_factory(tau_h, tau_k, geo):
+            law = law_factory(tau_h, tau_k, geo)
 
-        monkeypatch.setattr(sim, "_leg_terms", counting)
-        res = sim.run(RunSetup(bundle=bundle_physical, controller=controller, hops=1, dt=dt))
+            def counting_law(y_rel):
+                forces.append(1)
+                return law(y_rel)
+
+            return counting_law
+
+        def counting_terms(y_rel, geo):
+            terms.append(1)
+            return leg_terms(y_rel, geo)
+
+        monkeypatch.setattr(sim, "_held_force_law", counting_factory)
+        monkeypatch.setattr(sim, "_leg_terms", counting_terms)
+        setup = RunSetup(bundle=bundle_physical, controller=controller, hops=1, dt=dt)
+        res = sim.run(setup)
         assert res.ok
         ticks = len(res.log.records) - 1
-        n_sub = round(2.5e-4 / dt)
-        assert len(calls) == 2 + 4 * n_sub * ticks + 5 * len(res.log.events)
+        assert setup.n_sub == round(2.5e-4 / dt)
+        assert len(forces) == 1 + 4 * setup.n_sub * ticks + 5 * len(res.log.events)
+        assert len(terms) == 1 + ticks
 
     def test_unreachable_trajectory_aborts_with_partial_log(self, paper_literal):
         from hopsim import model
