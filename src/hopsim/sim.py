@@ -682,8 +682,14 @@ class ReferenceResult:
     def landing_times(self) -> list[float]:
         return [e.t for e in self.events if e.kind == "landing"]
 
+    def _first(self, kind: str) -> float:
+        for e in self.events:
+            if e.kind == kind:
+                return e.t
+        raise ValueError(f"need a {kind} event")
+
     def first_lift(self) -> float:
-        return self.lift_times()[0]
+        return self._first("lift")
 
     def hop_period(self) -> float:
         lifts = self.lift_times()
@@ -692,7 +698,7 @@ class ReferenceResult:
         return lifts[1] - lifts[0]
 
     def flight_duration(self) -> float:
-        return self.landing_times()[0] - self.lift_times()[0]
+        return self._first("landing") - self._first("lift")
 
 
 class TwoMassReference:
@@ -705,73 +711,66 @@ class TwoMassReference:
     lands when the leg re-extends through the lift-off length; landing flips
     the sign of the extension rate, which is the model's mirrored stance
     descent.  Event times are located by linear interpolation, so detected
-    switch times and hop periods check the closed forms independently.
+    switch times and hop periods check the closed forms independently.  Each
+    step is one inline RK4 of ``-w*(y - y_s_neu)``, ``w`` the phase's, and
+    shares no code with the plant; an event's step ends in the new phase.
     """
 
     def __init__(self, p: HopperParams, dt: float = 2.5e-4):
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"reference dt={dt!r} is not positive and finite")
         self.p = p
         self.dt = dt
         self.y_lift = p.m_e * p.g / p.k_s + p.y_s_neu
-        # the pin force and the two accelerations, their constants computed once
-        weight_e, k_s, y_neu = p.m_e * p.g, p.k_s, p.y_s_neu
-        w_stance, w_flight = k_s / p.m, k_s / (p.m * p.m_e / (p.m + p.m_e))
-        self._pin = lambda y: weight_e - k_s * (y - y_neu)
-        self._acc_stance = lambda y: -w_stance * (y - y_neu)
-        self._acc_flight = lambda y: -w_flight * (y - y_neu)
-
-    def _rk4(self, y, v, dt, acc):
-        a1 = acc(y)
-        y2, v2 = y + 0.5 * dt * v, v + 0.5 * dt * a1
-        a2 = acc(y2)
-        y3, v3 = y + 0.5 * dt * v2, v + 0.5 * dt * a2
-        a3 = acc(y3)
-        y4, v4 = y + dt * v3, v + dt * a3
-        a4 = acc(y4)
-        return (
-            y + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4),
-            v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-        )
 
     def run(self, hops: int = 2) -> ReferenceResult:
         """Integrate until ``hops`` lift events have been seen (plus margin)."""
-        p = self.p
-        t_max = (hops + 1) * 4.0 * (analytic.hop_period(p))
-        t = 0.0
-        y = p.y_s_neu - analytic.stance_amplitude(p)
-        v = 0.0
-        phase = HopPhase.STANCE
+        p, dt, y_lift = self.p, self.dt, self.y_lift
+        if not hops >= 1:
+            raise ValueError(f"reference hops={hops!r} is below 1")
+        t_max = (hops + 1) * 4.0 * analytic.hop_period(p)
+        if not t_max / dt <= MAX_TICKS * MAX_SUBSTEPS_PER_TICK:
+            raise ValueError(
+                f"reference dt={dt!r} needs more than {MAX_TICKS * MAX_SUBSTEPS_PER_TICK} steps"
+            )
+        weight_e, k_s, y_neu = p.m_e * p.g, p.k_s, p.y_s_neu
+        c_stance, c_flight = -(k_s / p.m), -(k_s / (p.m * p.m_e / (p.m + p.m_e)))
+        t, y, v, stance = 0.0, y_neu - analytic.stance_amplitude(p), 0.0, True
+        f = weight_e - k_s * (y - y_neu)  # ground force at the step's start
         events: list[Event] = []
-        lifts = 0
-        while t < t_max and lifts < hops + 1:
-            if phase is HopPhase.STANCE:
-                ny, nv = self._rk4(y, v, self.dt, self._acc_stance)
-                f0, f1 = self._pin(y), self._pin(ny)
-                if f0 > 0.0 >= f1:
-                    frac = f0 / (f0 - f1)
-                    t_ev = t + frac * self.dt
-                    y_ev = y + frac * (ny - y)
-                    v_ev = v + frac * (nv - v)
-                    events.append(Event("lift", t_ev, y_ev, v_ev))
+        lifts, step, h, split = 0, dt, 0.0, False  # split: the step is an event's rest
+        while t < t_max and lifts <= hops:
+            if step != h:
+                h, hh, h6 = step, 0.5 * step, step / 6.0
+            c = c_stance if stance else c_flight
+            a1 = c * (y - y_neu)
+            y2, v2 = y + hh * v, v + hh * a1
+            a2 = c * (y2 - y_neu)
+            y3, v3 = y + hh * v2, v + hh * a2
+            a3 = c * (y3 - y_neu)
+            y4, v4 = y + h * v3, v + h * a3
+            a4 = c * (y4 - y_neu)
+            ny = y + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            nv = v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            if stance:
+                nf = weight_e - k_s * (ny - y_neu)
+                if not split and f > 0.0 >= nf:
+                    frac = f / (f - nf)
+                    y, v = y + frac * (ny - y), v + frac * (nv - v)
+                    events.append(Event("lift", t + frac * dt, y, v))
                     lifts += 1
-                    # finish the substep in flight
-                    y, v = self._rk4(y_ev, v_ev, self.dt - frac * self.dt, self._acc_flight)
-                    phase = HopPhase.FLIGHT
-                    t += self.dt
+                    step, stance, split = dt - frac * dt, False, True
                     continue
-            else:
-                ny, nv = self._rk4(y, v, self.dt, self._acc_flight)
-                # Landing: the leg re-extends through the lift-off length.
-                if y < self.y_lift <= ny and nv > 0.0:
-                    frac = (self.y_lift - y) / (ny - y)
-                    t_ev = t + frac * self.dt
-                    v_ev = v + frac * (nv - v)
-                    events.append(Event("landing", t_ev, self.y_lift, v_ev))
-                    # Mirrored descent: the body re-enters stance moving down.
-                    y_ev, v_ev = self.y_lift, -abs(v_ev)
-                    y, v = self._rk4(y_ev, v_ev, self.dt - frac * self.dt, self._acc_stance)
-                    phase = HopPhase.STANCE
-                    t += self.dt
-                    continue
-            y, v = ny, nv
-            t += self.dt
+                f = nf
+            # Landing: the leg re-extends through the lift-off length.
+            elif not split and y < y_lift <= ny and nv > 0.0:
+                frac = (y_lift - y) / (ny - y)
+                v = v + frac * (nv - v)
+                events.append(Event("landing", t + frac * dt, y_lift, v))
+                # Mirrored descent: the body re-enters stance moving down.
+                y, v = y_lift, -abs(v)
+                step, stance, split = dt - frac * dt, True, True
+                continue
+            y, v, step, split = ny, nv, dt, False
+            t += dt
         return ReferenceResult(events)

@@ -5,8 +5,9 @@ force-vs-position comparison and of the other CLI cases,
 ``RunConfig.to_text`` and the two-mass reference's events.  Bitwise
 oracles: the leg-terms kernel, the AOR lookup, the CSV row format, the SVG
 polyline, the trajectory cycle, the leg kinematics and the envelope
-command, each against a verbatim copy of the code it replaced, and the
-plant's held force law against the force taken from the leg terms.
+command and the two-mass reference's loop, each against a verbatim copy of
+the code it replaced, and the plant's held force law against the force
+taken from the leg terms.
 Writing ``run.csv`` streams it in chunks, with a bound on the memory that
 takes whatever the log's length.
 
@@ -28,7 +29,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopsim import analytic, cli, control, kinematics, model, sim, svg
 from hopsim.cli import main, parse_config
@@ -180,9 +181,12 @@ def test_held_force_law_bitwise_equal_on_random_legs(L1, L2, knee_sign, scale, t
     assert bits([law(y_rel)]) == bits([force_from_leg_terms(tau_h, tau_k, y_rel, geo)])
 
 
-# dt -> sha256 of repr(TwoMassReference(physical, dt).run(hops=3).events)
+# dt -> sha256 of repr(TwoMassReference(physical, dt).run(hops=3).events); the
+# 1e-3 and 1e-4 digests were taken from the closure-and-_rk4 loop below
 REFERENCE_EVENTS = {
+    1e-3: "af28d1c1a890ba40cc3e191d5844db10a9ef99de761d71282cf7d72125fe6205",
     2.5e-4: "535db875de05bd3586e04ac153df21a36aa1fa452c144ad6a81f980a5878731a",
+    1e-4: "4edd9c177123775cbde534b4ca3fcb6d8555080d7583412b57f7997afc5b28db",
     2.5e-5: "c58a9a63a2d429ef9d3dfe375088b3afb91d5b2e8dab2fabb7f5d991930b12af",
 }
 
@@ -191,6 +195,103 @@ REFERENCE_EVENTS = {
 def test_reference_events_digest(physical, dt):
     events = sim.TwoMassReference(physical, dt).run(hops=3).events
     assert hashlib.sha256(repr(events).encode()).hexdigest() == REFERENCE_EVENTS[dt]
+
+
+class LegacyTwoMassReference:
+    """The two-mass reference's loop as first written, kept verbatim as the
+    oracle: a closure per force and acceleration and an RK4 method, called
+    five times a step, with the pin force evaluated at both ends of a stance
+    step and the rest of an event's step integrated inside its branch."""
+
+    def __init__(self, p, dt=2.5e-4):
+        self.p = p
+        self.dt = dt
+        self.y_lift = p.m_e * p.g / p.k_s + p.y_s_neu
+        weight_e, k_s, y_neu = p.m_e * p.g, p.k_s, p.y_s_neu
+        w_stance, w_flight = k_s / p.m, k_s / (p.m * p.m_e / (p.m + p.m_e))
+        self._pin = lambda y: weight_e - k_s * (y - y_neu)
+        self._acc_stance = lambda y: -w_stance * (y - y_neu)
+        self._acc_flight = lambda y: -w_flight * (y - y_neu)
+
+    def _rk4(self, y, v, dt, acc):
+        a1 = acc(y)
+        y2, v2 = y + 0.5 * dt * v, v + 0.5 * dt * a1
+        a2 = acc(y2)
+        y3, v3 = y + 0.5 * dt * v2, v + 0.5 * dt * a2
+        a3 = acc(y3)
+        y4, v4 = y + dt * v3, v + dt * a3
+        a4 = acc(y4)
+        return (
+            y + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+            v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        )
+
+    def run(self, hops=2):
+        p = self.p
+        t_max = (hops + 1) * 4.0 * (analytic.hop_period(p))
+        t = 0.0
+        y = p.y_s_neu - analytic.stance_amplitude(p)
+        v = 0.0
+        phase = model.HopPhase.STANCE
+        events = []
+        lifts = 0
+        while t < t_max and lifts < hops + 1:
+            if phase is model.HopPhase.STANCE:
+                ny, nv = self._rk4(y, v, self.dt, self._acc_stance)
+                f0, f1 = self._pin(y), self._pin(ny)
+                if f0 > 0.0 >= f1:
+                    frac = f0 / (f0 - f1)
+                    t_ev = t + frac * self.dt
+                    y_ev = y + frac * (ny - y)
+                    v_ev = v + frac * (nv - v)
+                    events.append(sim.Event("lift", t_ev, y_ev, v_ev))
+                    lifts += 1
+                    # finish the substep in flight
+                    y, v = self._rk4(y_ev, v_ev, self.dt - frac * self.dt, self._acc_flight)
+                    phase = model.HopPhase.FLIGHT
+                    t += self.dt
+                    continue
+            else:
+                ny, nv = self._rk4(y, v, self.dt, self._acc_flight)
+                # Landing: the leg re-extends through the lift-off length.
+                if y < self.y_lift <= ny and nv > 0.0:
+                    frac = (self.y_lift - y) / (ny - y)
+                    t_ev = t + frac * self.dt
+                    v_ev = v + frac * (nv - v)
+                    events.append(sim.Event("landing", t_ev, self.y_lift, v_ev))
+                    # Mirrored descent: the body re-enters stance moving down.
+                    y_ev, v_ev = self.y_lift, -abs(v_ev)
+                    y, v = self._rk4(y_ev, v_ev, self.dt - frac * self.dt, self._acc_stance)
+                    phase = model.HopPhase.STANCE
+                    t += self.dt
+                    continue
+            y, v = ny, nv
+            t += self.dt
+        return sim.ReferenceResult(events)
+
+
+def event_bits(events):
+    return [(e.kind, bits([e.t, e.y_body, e.v_body])) for e in events]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.floats(min_value=2.0, max_value=10.0),
+    m_e=st.floats(min_value=0.2, max_value=1.5),
+    k_s=st.floats(min_value=800.0, max_value=4000.0),
+    y_s_neu=st.floats(min_value=0.3, max_value=0.6),
+    C_amp=st.floats(min_value=0.03, max_value=0.2),
+    dt=st.floats(min_value=1e-5, max_value=1e-3),
+    hops=st.integers(min_value=1, max_value=4),
+)
+@example(m=5.6, m_e=0.8, k_s=1700.0, y_s_neu=0.45, C_amp=0.12, dt=1e-5, hops=4)
+def test_reference_events_bitwise_equal_to_legacy_loop(m, m_e, k_s, y_s_neu, C_amp, dt, hops):
+    p = HopperParams(m=m, m_e=m_e, k_s=k_s, y_s_neu=y_s_neu, C_amp=C_amp)
+    events = sim.TwoMassReference(p, dt).run(hops).events
+    # Every run ends on its last lift: the legacy loop integrates the rest of
+    # that lift's step, the one loop stops before it.
+    assert [e.kind for e in events] == ["lift", "landing"] * hops + ["lift"]
+    assert event_bits(events) == event_bits(LegacyTwoMassReference(p, dt).run(hops).events)
 
 
 # path under --out -> sha256 of each file that

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +157,44 @@ class TestTwoMassReference:
             assert ref.first_lift() == pytest.approx(t_lo, abs=1e-3)
             assert ref.flight_duration() == pytest.approx(t_ld - t_lo, abs=1e-3)
             assert ref.hop_period() == pytest.approx(analytic.hop_period(p), abs=1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+    def test_bad_dt_rejected_at_construction(self, physical, dt):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            sim.TwoMassReference(physical, dt)
+
+    @pytest.mark.parametrize(
+        ("dt", "hops", "reason"),
+        [
+            (1e-300, 3, "needs more than"),
+            # a run may last 4 hop periods (~1.25 s) a hop: 1.25e11 steps of 1e-5 s
+            (1e-5, 10**6, "needs more than"),
+            (2.5e-4, 0, "below 1"),
+            (2.5e-4, -1, "below 1"),
+        ],
+    )
+    def test_bad_run_rejected_before_any_step(self, physical, monkeypatch, dt, hops, reason):
+        # The start state is the first thing a run builds after its checks, so
+        # a run that gets that far fails here at once instead of stepping on.
+        def no_start_state(p):
+            raise AssertionError("the run built its start state")
+
+        stub = types.SimpleNamespace(
+            hop_period=analytic.hop_period, stance_amplitude=no_start_state
+        )
+        monkeypatch.setattr(sim, "analytic", stub)
+        with pytest.raises(ValueError, match=reason):
+            sim.TwoMassReference(physical, dt).run(hops)
+
+    def test_empty_result_raises_value_error(self):
+        empty = sim.ReferenceResult([])
+        for method in (empty.first_lift, empty.flight_duration, empty.hop_period):
+            with pytest.raises(ValueError, match="need"):
+                method()
+        lift_only = sim.ReferenceResult([sim.Event("lift", 0.1, 0.5, 1.0)])
+        assert lift_only.first_lift() == 0.1
+        with pytest.raises(ValueError, match="landing"):
+            lift_only.flight_duration()
 
 
 class TestRun:
