@@ -75,9 +75,13 @@ def clamp(tau_dyn: float, tau_sat: float) -> float:
 
 
 def make_command(tau_dyn: float, thetad_act: float, motor: MotorParams) -> TorqueCommand:
-    """Run one raw torque through the envelope clamp."""
-    tau_sat = actuator_saturation(thetad_act, motor)
-    return TorqueCommand(tau_dyn, tau_sat, clamp(tau_dyn, tau_sat))
+    """Run one raw torque through the envelope clamp: :func:`actuator_saturation`
+    and :func:`clamp`, inline."""
+    speed = abs(motor.R * thetad_act)
+    omega_max = motor.omega_max
+    tau_sat = motor.R * (0.0 if speed > omega_max else motor.tau_max * (1.0 - speed / omega_max))
+    tau_des = tau_dyn if abs(tau_dyn) <= tau_sat else math.copysign(tau_sat, tau_dyn)
+    return TorqueCommand(tau_dyn, tau_sat, tau_des)
 
 
 def clamp_joints(
@@ -200,9 +204,9 @@ class ForceController(_TrajectoryController):
 
     def command(self, state) -> JointCommands:
         th_h, th_k, _, _, clamped = self.joint_targets()
-        js, gains = state.joints, self.gains
-        tau_h = pd_torque(js.theta_hip, js.thetad_hip, th_h, gains)
-        tau_k = pd_torque(js.theta_knee, js.thetad_knee, th_k, gains)
+        js, k_p, k_d = state.joints, self.gains.k_p, self.gains.k_d
+        tau_h = -k_p * (js.theta_hip - th_h) - k_d * js.thetad_hip  # pd_torque, inline
+        tau_k = -k_p * (js.theta_knee - th_k) - k_d * js.thetad_knee
         return clamp_joints(tau_h, tau_k, js, self.motor, clamped)
 
 

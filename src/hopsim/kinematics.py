@@ -16,7 +16,7 @@ from .errors import UnreachableLengthError
 from .model import LegGeometry
 
 
-@dataclass
+@dataclass(slots=True)
 class JointState:
     theta_hip: float = 0.0     # rad
     theta_knee: float = 0.0    # rad
@@ -96,8 +96,8 @@ def leg_length(theta_knee: float, geo: LegGeometry) -> float:
 def _jacobian_terms(theta_knee: float, geo: LegGeometry) -> tuple[float, float, bool]:
     """(dy_dknee, dhip_dknee, singular) at the given knee angle.
 
-    The one formula behind :func:`leg_jacobian`; the hot callers read it
-    directly instead of building a JointState and a LegJacobian per call.
+    The formula behind :func:`leg_jacobian`; the hot callers read it directly
+    instead of building a LegJacobian per call, and :func:`joint_rates` inline.
     """
     c = geo.constants
     cos_k = math.cos(theta_knee)
@@ -122,11 +122,15 @@ def leg_jacobian(js: JointState, geo: LegGeometry) -> LegJacobian:
 
 def joint_rates(theta_knee: float, v_leg: float, geo: LegGeometry) -> tuple[float, float]:
     """Joint velocities (hip, knee) for a leg-length rate along the posture manifold."""
-    dy_dknee, dhip_dknee, singular = _jacobian_terms(theta_knee, geo)
-    if singular:
+    # _jacobian_terms inline; off the singular leg y is NaN or >= 1e-12, so y * y != 0
+    c = geo.constants
+    cos_k = math.cos(theta_knee)
+    y = math.sqrt(c.sum_sq + c.two_l1l2 * cos_k)
+    s = math.sin(theta_knee)
+    if abs(s) < 1e-12 or y < 1e-12:
         return 0.0, 0.0
-    thetad_knee = v_leg / dy_dknee
-    return dhip_dknee * thetad_knee, thetad_knee
+    thetad_knee = v_leg / (c.neg_l1l2 * s / y if y > 0 else 0.0)
+    return c.neg_l2 * (c.l2 + c.l1 * cos_k) / (y * y) * thetad_knee, thetad_knee
 
 
 def knee_torque_for_force(force: float, theta_knee: float, geo: LegGeometry) -> float:

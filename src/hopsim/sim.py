@@ -21,9 +21,13 @@ pre-step pin force, so each leg configuration is evaluated once.  The leg
 terms are computed once per tick, at its end state: they give the joint
 state recorded for it and ride on the returned state into the next tick,
 whose first force differs only in the held torques.  The leg stops are
-called only when a substep leaves their interval.  None of this changes a
-floating-point operation, so telemetry is byte-identical to evaluating every
-configuration each time it is needed.
+called only when a substep leaves their interval, and :func:`_crossing`
+only when an event is possible: in stance on a nonpositive pin force at the
+substep's end, in flight on a foot at or below ``CONTACT_EPSILON`` at either
+end.  The plant's constants (``1/m``, ``1/m_e``, ``g``) are bound once per
+tick and passed to the RK4 steps.  None of this changes a floating-point
+operation, so telemetry is byte-identical to evaluating every configuration
+each time it is needed.
 
 Nothing in a tick reads the time ``t``, so a run whose whole state repeats
 repeats its ticks.  At the first tick after each landing :func:`run` keys
@@ -55,12 +59,12 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import analytic, control, kinematics
 from .errors import SimulationAbort
-from .metrics import saturation_ratio
 from .model import (
     HopperParams,
     HopPhase,
     LegGeometry,
     ValidatedBundle,
+    validate,
 )
 
 CONTACT_EPSILON = 1e-9  # touchdown height threshold, m
@@ -105,6 +109,8 @@ class Record(NamedTuple):
     c_act_hip: float
     c_act_knee: float
 
+
+_new_record = tuple.__new__  # (Record, fields): Record(*fields) without its __new__ call
 
 # The CSV text of a row after ``t``: repr of every number (``%r`` is
 # ``repr``), the phase as is.
@@ -173,7 +179,7 @@ class TelemetryLog:
             yield block(i, min(i + _CSV_CHUNK_ROWS, n))
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     t: float
     phase: HopPhase
@@ -288,6 +294,7 @@ def _held_force_law(tau_h: float, tau_k: float, geo: LegGeometry) -> Callable[[f
     force from :func:`_leg_terms`: its operations inline and in its order."""
     y_lo, y_hi, _, _, sum_sq, two_l1l2, neg_l1l2, neg_l2, l1, l2, knee_sign = geo.constants
     acos, sin, pi = math.acos, math.sin, math.pi
+    knee_sign = float(knee_sign)  # int * float would convert the int on every call
 
     def law(y_rel: float) -> float:
         y = y_lo if y_rel < y_lo else y_rel
@@ -350,13 +357,12 @@ def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
 # --- RK4 sub-steps ---------------------------------------------------------
 
 
-def _rk4_stance(y, v, f, dt, p: HopperParams, law):
+def _rk4_stance(y, v, f, dt, inv_m, g, law):
     """One stance step: body only, foot pinned at the origin.
 
-    ``f`` is the task force at (y, v), already evaluated by the caller.
+    ``f`` is the task force at (y, v), already evaluated by the caller;
+    ``inv_m`` is ``1.0 / m``.
     """
-    inv_m = 1.0 / p.m
-    g = p.g
     h = 0.5 * dt
     a1 = -g + f * inv_m
     y2, v2 = y + h * v, v + h * a1
@@ -371,15 +377,12 @@ def _rk4_stance(y, v, f, dt, p: HopperParams, law):
     return y_n, v_n
 
 
-def _rk4_flight(yb, vb, yf, vf, f, dt, p: HopperParams, law):
+def _rk4_flight(yb, vb, yf, vf, f, dt, inv_m, inv_me, g, law):
     """One flight step: body and foot coupled by the leg force, both falling.
 
     ``f`` is the task force at the start state, already evaluated by the
-    caller.
+    caller; ``inv_m`` and ``inv_me`` are ``1.0 / m`` and ``1.0 / m_e``.
     """
-    inv_m = 1.0 / p.m
-    inv_me = 1.0 / p.m_e
-    g = p.g
     h = 0.5 * dt
     ab1, af1 = -g + f * inv_m, -g - f * inv_me
     yb2, vb2 = yb + h * vb, vb + h * ab1
@@ -465,14 +468,15 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
     js = state.joints
     hip_dyn, hip_sat, hip_des = cmd.hip
     knee_dyn, knee_sat, knee_des = cmd.knee
-    # positional, in the order of Record's fields
-    return Record(
+    # Record's fields in order; the last two are metrics.saturation_ratio, inline
+    return _new_record(Record, (
         state.t, state.phase.value,
         state.y_body, state.v_body, state.y_foot, state.v_foot,
         js.theta_hip, js.theta_knee, js.thetad_hip, js.thetad_knee,
         hip_dyn, knee_dyn, hip_des, knee_des, hip_sat, knee_sat,
-        saturation_ratio(hip_des, hip_sat), saturation_ratio(knee_des, knee_sat),
-    )
+        abs(hip_des) / abs(hip_sat) if hip_sat != 0.0 else 1.0 if hip_des == 0.0 else math.inf,
+        abs(knee_des) / abs(knee_sat) if knee_sat != 0.0 else 1.0 if knee_des == 0.0 else math.inf,
+    ))
 
 
 def run(setup: RunSetup) -> RunResult:
@@ -489,9 +493,10 @@ def run(setup: RunSetup) -> RunResult:
     p, geo = setup.bundle.params, setup.bundle.geometry
     period, n_sub, dt_sub = 1.0 / setup.control_rate, setup.n_sub, setup.dt_sub
     controller = CONTROLLERS[setup.controller](setup)
+    force_law, t_stop, hops = controller.force_law, _end_time(setup) - 1e-12, setup.hops
 
-    t_end = _end_time(setup)
     log = TelemetryLog()
+    records, events = log.records, log.events
     state = initial_state(setup)
     ik_failures = 0
     landings = 0
@@ -500,10 +505,10 @@ def run(setup: RunSetup) -> RunResult:
     event_ticks = {}  # tick that had events -> its start state and command
 
     def plant(state, cmd):
-        return _advance_tick(state, cmd, controller.force_law, dt_sub, n_sub, p, geo, log)
+        return _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log)
 
-    def done(t, landings):
-        return not t < t_end - 1e-12 or (setup.hops is not None and landings >= setup.hops)
+    def done(t, landings):  # the loop below tests its negation inline
+        return not t < t_stop or (hops is not None and landings >= hops)
 
     def abort(reason: str) -> RunResult:
         log.failure = reason
@@ -517,16 +522,16 @@ def run(setup: RunSetup) -> RunResult:
             )
         return RunResult(log, setup)
 
-    while not done(state.t, landings):
+    while state.t < t_stop and (hops is None or landings < hops):
         if touchdown is not None:
-            tick = len(log.records)
+            tick = len(records)
             start = cycle_starts.setdefault(_cycle_key(state, controller, ik_failures), tick)
             if start < tick:
                 return finish(*_replay_cycle(
                     log, start, event_ticks, state.t, landings, done, plant, n_sub, dt_sub
                 ))
         cmd = controller.command(state)
-        log.records.append(_record_from(state, cmd))
+        records.append(_record_from(state, cmd))
         if cmd.ik_clamped:
             ik_failures += 1
             if ik_failures > MAX_IK_FAILURES:
@@ -535,24 +540,24 @@ def run(setup: RunSetup) -> RunResult:
                     f"(limit {MAX_IK_FAILURES})"
                 )
 
-        seen = len(log.events)
+        seen = len(events)
         try:
-            end = plant(state, cmd)
+            end = _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log)
         except SimulationAbort as exc:
             return abort(str(exc))
-        if len(log.events) > seen:
-            event_ticks[len(log.records) - 1] = state, cmd
-        state = end
         touchdown = None  # the tick's last landing
-        for event in log.events[seen:]:
-            if event.kind == "landing":
-                landings += 1
-                touchdown = event
+        if len(events) > seen:
+            event_ticks[len(records) - 1] = state, cmd
+            for event in events[seen:]:
+                if event.kind == "landing":
+                    landings += 1
+                    touchdown = event
+        state = end
         if not (math.isfinite(state.y_body) and abs(state.y_body) < 1e6):
             return abort(f"state diverged at t={state.t:.6f}")
         controller.advance(period, state, touchdown)
 
-    log.records.append(_record_from(state, controller.command(state)))
+    records.append(_record_from(state, controller.command(state)))
     return finish(state.t, landings)
 
 
@@ -587,7 +592,7 @@ def _replay_cycle(log, start, event_ticks, t, landings, done, plant, n_sub, dt_s
     log.cycle = (start, stop)
     i = start
     while not done(t, landings):
-        records.append(Record(t, *records[i][1:]))
+        records.append(_new_record(Record, (t, *records[i][1:])))
         if i in event_ticks:
             state, cmd = event_ticks[i]
             seen = len(events)
@@ -597,7 +602,7 @@ def _replay_cycle(log, start, event_ticks, t, landings, done, plant, n_sub, dt_s
             for _ in range(n_sub):
                 t += dt_sub
         i = i + 1 if i + 1 < stop else start
-    records.append(Record(t, *records[i][1:]))
+    records.append(_new_record(Record, (t, *records[i][1:])))
     return t, landings
 
 
@@ -609,7 +614,10 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
     RK4 step of the active phase from the force at its start state, then the
     leg stops.  Phase events found inside a substep are appended to
     ``log.events`` and the rest of the substep is integrated in the new
-    phase.  Returns the end state with its leg terms (the tick's one
+    phase; :func:`_crossing` is called only when the substep ends on a
+    nonpositive stance pin force, or starts or ends with a flight foot at or
+    below ``CONTACT_EPSILON``.  ``1/m``, ``1/m_e`` and ``g`` are bound once
+    per tick.  Returns the end state with its leg terms (the tick's one
     :func:`_leg_terms` call), which give the next tick's first held force.
     """
     tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
@@ -619,6 +627,8 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
     t, phase = state.t, state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
     lo, hi = geo.constants.y_lo, geo.constants.y_hi
+    inv_m, inv_me, g = 1.0 / p.m, 1.0 / p.m_e, p.g
+    isfinite, STANCE = math.isfinite, HopPhase.STANCE
     weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
     f = (law(yb - yf) if terms is None
          else 0.0 if terms[1] == 0.0 else (tau_k + tau_h * terms[2]) / terms[1])
@@ -627,19 +637,21 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
         dt_left = dt_sub
         events_seen = 0
         while dt_left > 0.0:
-            if phase is HopPhase.STANCE:
-                nyb, nvb = _rk4_stance(yb, vb, f, dt_left, p, law)
+            if phase is STANCE:
+                nyb, nvb = _rk4_stance(yb, vb, f, dt_left, inv_m, g, law)
                 nyf, nvf = yf, vf
             else:
-                nyb, nvb, nyf, nvf = _rk4_flight(yb, vb, yf, vf, f, dt_left, p, law)
+                nyb, nvb, nyf, nvf = _rk4_flight(yb, vb, yf, vf, f, dt_left, inv_m, inv_me, g, law)
             if not lo <= nyb - nyf <= hi:  # a stance foot is exactly 0.0
                 nyb, nvb, nyf, nvf = _apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
-            if not (math.isfinite(nyb) and math.isfinite(nvb)
-                    and math.isfinite(nyf) and math.isfinite(nvf)):
+            if not (isfinite(nyb) and isfinite(nvb) and isfinite(nyf) and isfinite(nvf)):
                 raise SimulationAbort(f"non-finite state at t={t + dt_left:.6f}")
             nf = law(nyb - nyf)
             tr = None
-            if events_seen < _MAX_EVENTS_PER_STEP:
+            if events_seen < _MAX_EVENTS_PER_STEP and (
+                weight_e + nf <= 0.0 if phase is STANCE
+                else nyf <= CONTACT_EPSILON or yf <= CONTACT_EPSILON
+            ):
                 # _crossing reads the pin forces only in stance.
                 tr = _crossing(phase, weight_e + f, weight_e + nf, yf, nyf, vf, nvf)
             if tr is None:
@@ -679,9 +691,6 @@ class ReferenceResult:
     def lift_times(self) -> list[float]:
         return [e.t for e in self.events if e.kind == "lift"]
 
-    def landing_times(self) -> list[float]:
-        return [e.t for e in self.events if e.kind == "landing"]
-
     def _first(self, kind: str) -> float:
         for e in self.events:
             if e.kind == kind:
@@ -719,6 +728,7 @@ class TwoMassReference:
     def __init__(self, p: HopperParams, dt: float = 2.5e-4):
         if not 0.0 < dt < math.inf:
             raise ValueError(f"reference dt={dt!r} is not positive and finite")
+        validate(p)  # ParameterError naming each bad field
         self.p = p
         self.dt = dt
         self.y_lift = p.m_e * p.g / p.k_s + p.y_s_neu

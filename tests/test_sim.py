@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopsim import analytic, control, kinematics, metrics, sim
+from hopsim.errors import ParameterError, SimulationAbort
 from hopsim.model import Gains, HopPhase, HopperParams, MotorParams
 from hopsim.sim import RunSetup, SimState
 
@@ -101,6 +102,19 @@ class TestStep:
         assert 12.0 <= ratio <= 20.0
 
 
+def crossing_possible(phase, next_pin, prev_yf, next_yf):
+    """The condition under which sim._advance_tick calls sim._crossing."""
+    if phase is HopPhase.STANCE:
+        return next_pin <= 0.0
+    return next_yf <= sim.CONTACT_EPSILON or prev_yf <= sim.CONTACT_EPSILON
+
+
+_EPS = sim.CONTACT_EPSILON
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, _EPS, -_EPS, math.nextafter(_EPS, 0.0), math.nextafter(_EPS, 1.0), 1.0, -1.0]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
 class TestDetectTransition:
     # sim._crossing(phase, pin forces before/after, foot heights, foot rates)
 
@@ -120,6 +134,29 @@ class TestDetectTransition:
         kind, frac = sim._crossing(HopPhase.STANCE, 4.0, -4.0, 0.0, 0.0, 0.0, 0.0)
         assert kind == "lift"
         assert frac * 5e-4 == pytest.approx(2.5e-4, rel=1e-12)
+
+    def test_flight_foot_at_contact_driven_down_repins(self, bundle_physical):
+        # A flight foot at ground level, rising but pushed down so hard that
+        # the substep ends above contact height and moving down: the end
+        # height alone would skip _crossing, the start height calls it.
+        push = 40.0 * bundle_physical.params.m_e
+        state = make_state(HopPhase.FLIGHT, 0.7, 0.0, 0.0, 0.01)
+        end, log = advance(state, 1, 2.5e-4, bundle_physical, force_law=lambda y: push)
+        assert [(e.kind, e.t) for e in log.events] == [("landing", 0.0)]
+        assert end.phase is HopPhase.STANCE and end.y_foot == 0.0
+
+    @given(
+        phase=st.sampled_from(HopPhase),
+        pins=st.tuples(EDGE_FLOATS, EDGE_FLOATS),
+        heights=st.tuples(EDGE_FLOATS, EDGE_FLOATS),
+        rates=st.tuples(EDGE_FLOATS, EDGE_FLOATS),
+    )
+    def test_no_event_where_the_plant_skips_crossing(self, phase, pins, heights, rates):
+        (prev_pin, next_pin), (prev_yf, next_yf), (prev_vf, next_vf) = pins, heights, rates
+        if not crossing_possible(phase, next_pin, prev_yf, next_yf):
+            assert sim._crossing(
+                phase, prev_pin, next_pin, prev_yf, next_yf, prev_vf, next_vf
+            ) is None
 
     def test_reference_lift_emitted_once_per_stance(self, physical):
         ref = sim.TwoMassReference(physical).run(hops=2)
@@ -185,6 +222,12 @@ class TestTwoMassReference:
         monkeypatch.setattr(sim, "analytic", stub)
         with pytest.raises(ValueError, match=reason):
             sim.TwoMassReference(physical, dt).run(hops)
+
+    @pytest.mark.parametrize(("name", "value"), [("k_s", 0.0), ("k_s", -1.0), ("C_amp", math.nan)])
+    def test_bad_params_rejected_naming_the_field(self, physical, name, value):
+        with pytest.raises(ParameterError, match=name) as info:
+            sim.TwoMassReference(dataclasses.replace(physical, **{name: value}))
+        assert set(info.value.fields) == {name}
 
     def test_empty_result_raises_value_error(self):
         empty = sim.ReferenceResult([])
@@ -409,6 +452,41 @@ class TestLegStops:
         state, log = advance(state, 10, 2.5e-4, b)
         assert not log.events
         assert state.y_body >= lo - 1e-12
+
+
+class TestNonFiniteState:
+    def test_spring_run_with_a_nan_force_law_aborts(self, bundle_oracle, monkeypatch):
+        monkeypatch.setattr(control.VirtualSpringController, "force_law", lambda self, y: math.nan)
+        res = sim.run(RunSetup(bundle=bundle_oracle, controller="spring", hops=1))
+        assert res.status == "aborted: non-finite state at t=0.000250"
+        assert len(res.log.records) == 1
+
+    def test_flight_tick_with_a_nan_force_law_aborts(self, bundle_physical):
+        state = make_state(HopPhase.FLIGHT, 0.9, 0.0, 0.45, 0.0)
+        with pytest.raises(SimulationAbort, match=r"^non-finite state at t=0\.000250$"):
+            advance(state, 4, 2.5e-4, bundle_physical, force_law=lambda y: math.nan)
+
+
+SATURATION_PAIRS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 0.0), (-1.0, -0.0),
+                    (math.nan, 0.0), (3.0, 4.0), (-3.0, 4.0), (1.0, math.nan)]
+
+
+@given(
+    hip=st.sampled_from(SATURATION_PAIRS) | st.tuples(st.floats(), st.floats()),
+    knee=st.sampled_from(SATURATION_PAIRS) | st.tuples(st.floats(), st.floats()),
+)
+def test_record_saturation_ratios_are_metrics_saturation_ratio(hip, knee):
+    # (tau_des, tau_sat) per joint; a zero bound gives 1.0 for a zero
+    # command and inf for any other
+    cmd = control.JointCommands(
+        control.TorqueCommand(7.0, hip[1], hip[0]), control.TorqueCommand(-7.0, knee[1], knee[0])
+    )
+    rec = sim._record_from(make_state(HopPhase.STANCE, 0.5, 0.0, 0.0, 0.0), cmd)
+    assert type(rec) is sim.Record and len(rec) == len(sim.Record._fields)
+    expected = [metrics.saturation_ratio(*hip), metrics.saturation_ratio(*knee)]
+    assert struct.pack("<2d", rec.c_act_hip, rec.c_act_knee) == struct.pack("<2d", *expected)
+    if hip[1] == 0.0:
+        assert rec.c_act_hip == (1.0 if hip[0] == 0.0 else math.inf)
 
 
 def log_bits(res):
