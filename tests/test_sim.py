@@ -461,6 +461,18 @@ class TestNonFiniteState:
         assert res.status == "aborted: non-finite state at t=0.000250"
         assert len(res.log.records) == 1
 
+    def test_diverged_state_aborts(self, bundle_physical, monkeypatch):
+        # a finite body height of 1e6 m or more ends the run after its tick
+        inner = sim._advance_tick
+
+        def diverging(*args):
+            return dataclasses.replace(inner(*args), y_body=1e6)
+
+        monkeypatch.setattr(sim, "_advance_tick", diverging)
+        res = sim.run(RunSetup(bundle=bundle_physical, controller="force", hops=1))
+        assert res.status == "aborted: state diverged at t=0.000250"
+        assert len(res.log.records) == 1
+
     def test_flight_tick_with_a_nan_force_law_aborts(self, bundle_physical):
         state = make_state(HopPhase.FLIGHT, 0.9, 0.0, 0.45, 0.0)
         with pytest.raises(SimulationAbort, match=r"^non-finite state at t=0\.000250$"):
@@ -595,6 +607,18 @@ class TestCycleReplay:
             assert plant_calls < ticks / 2
         else:
             assert plant_calls == ticks
+
+    def test_hop_target_missed_inside_the_replay(self, bundle_physical, monkeypatch):
+        # The duration guard stops a replayed run short of its hop target:
+        # the abort is the one an unreplayed run gives, at the same tick.
+        monkeypatch.setattr(sim, "MAX_DURATION", 2.0)
+        setup = RunSetup(bundle=bundle_physical, controller="position", hops=50)
+        res, plant_calls = counted_run(setup, monkeypatch)
+        ref, _ = unreplayed_run(setup, monkeypatch)
+        assert res.status == "aborted: hop target not reached (8 of 50 landings by t=2.000000)"
+        assert res.log.cycle == (3893, 4716) and len(res.log.records) == 8001
+        assert log_bits(res) == log_bits(ref)
+        assert plant_calls < len(res.log.records) - 1  # the replay ran
 
     def test_cycle_with_an_ik_clamp_is_never_replayed(self, bundle_physical, monkeypatch):
         # Clamp the tick on the fold stop, which the position orbit reaches
