@@ -243,6 +243,12 @@ class VirtualSpringController:
     (0.45462 m).  On the same stance cosine the leg gets there 12.3167 ms
     after the analytic t_lo, at every dt (2.5e-4, 1e-4 and 2.5e-5 s alike):
     the offset is the lift condition, not integration error.
+
+    The plant integrates the unclamped ``force_law``, while :meth:`command`,
+    which the run records, clamps the knee torque to the motor envelope.
+    Under a motor the spring saturates, such as the default one, the log and
+    its work and energy audit thus describe torques the plant never applied;
+    the oracle tests use a motor the spring stays inside.
     """
 
     def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):

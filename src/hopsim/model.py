@@ -154,11 +154,14 @@ def validate(
     Violations raise :class:`ParameterError` naming each offending field.
     A lift-off height beyond the leg reach is analytically usable but
     kinematically unreachable, so it produces a warning rather than an error.
-    Validation is idempotent and has no side effects.
+    The leg map is checked only for a geometry the caller passes; the
+    default :class:`LegGeometry` passes that check.  Validation is
+    idempotent and has no side effects.
     """
     motor = motor if motor is not None else MotorParams()
     gains = gains if gains is not None else Gains()
-    geometry = geometry if geometry is not None else LegGeometry()
+    check_leg_map = geometry is not None
+    geometry = geometry if check_leg_map else LegGeometry()
 
     violations = []
 
@@ -194,15 +197,16 @@ def validate(
     # REACH_MARGIN cross the stops; long, nearly equal links round the folded
     # stop to a zero knee-angle length, which the leg Jacobian divides by.
     check(motor.omega_max / motor.R > 0.0, "motor", "omega_max/R underflows to zero")
-    from .kinematics import inverse_kinematics, leg_length  # kinematics imports this module
-    try:
-        leg = geometry.constants
-        folded = leg_length(inverse_kinematics(leg.y_lo, geometry)[1], geometry)
-        usable = math.isfinite(leg.sum_sq) and leg.y_lo < leg.y_hi and folded > 0.0
-    except (ArithmeticError, ValueError):  # L1**2 overflow, a stop outside the reach
-        usable = False
-    check(usable, "geometry", f"links L1={geometry.L1!r}, L2={geometry.L2!r} give no usable "
-          f"leg map: each must exceed {REACH_MARGIN} m, and the knee angle resolve the stops")
+    if check_leg_map:
+        from .kinematics import inverse_kinematics, leg_length  # kinematics imports this module
+        try:
+            leg = geometry.constants
+            folded = leg_length(inverse_kinematics(leg.y_lo, geometry)[1], geometry)
+            usable = math.isfinite(leg.sum_sq) and leg.y_lo < leg.y_hi and folded > 0.0
+        except (ArithmeticError, ValueError):  # L1**2 overflow, a stop outside the reach
+            usable = False
+        check(usable, "geometry", f"links L1={geometry.L1!r}, L2={geometry.L2!r} give no usable "
+              f"leg map: each must exceed {REACH_MARGIN} m, and the knee angle resolve the stops")
     if violations:
         raise ParameterError(violations)
 

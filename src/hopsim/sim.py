@@ -33,11 +33,12 @@ Nothing in a tick reads the time ``t``, so a run whose whole state repeats
 repeats its ticks.  At the first tick after each landing :func:`run` keys
 the state (:func:`_cycle_key`: phase, the bits of the four positions and
 rates, every controller attribute, the IK-clamp count).  When a key comes
-back, :func:`_replay_cycle` copies the records since its first sighting at
-the new times until the run's stop test fires, and reruns the plant only on
-ticks that had events, so event times and the clock come out as computed.
-The position controller reaches such an orbit: its leg rests on the
-plastic fold stop once per hop, which erases the state.
+back, each later tick of the same loop copies the next record of the cycle
+since its first sighting at the new time.  It reruns the plant only if its
+cycle tick had events, and otherwise adds ``dt_sub`` ``n_sub`` times, so
+event times and the clock come out as computed.  The position controller
+reaches such an orbit: its leg rests on the plastic fold stop once per
+hop, which erases the state.
 
 :meth:`TelemetryLog.to_csv` streams the log as CSV text in one process.  A
 replayed run's log knows its cycle (:attr:`TelemetryLog.cycle`), so each
@@ -482,13 +483,14 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
 def run(setup: RunSetup) -> RunResult:
     """Run the control loop at a fixed rate and return the telemetry log.
 
-    Each tick: controller command, telemetry record, plant substeps with
-    transition checks, landing count, trajectory clock advance; once the
-    state after a landing repeats, the cycle since is replayed (see the
-    module docstring).  The run is seed-free and deterministic: the same
-    setup produces a bitwise-identical log.  Aborts (non-finite state, too
-    many unreachable-trajectory ticks) return a partial log whose
-    ``failure`` field carries the reason.
+    Each computed tick: controller command, telemetry record, plant
+    substeps with transition checks, landing count, trajectory clock
+    advance.  Once the state after a landing repeats, every later tick
+    copies the next row of the cycle since (see the module docstring) and
+    moves the clock as the plant would.  The run is seed-free and
+    deterministic: the same setup produces a bitwise-identical log.  Aborts
+    (non-finite state, too many unreachable-trajectory ticks, a missed hop
+    target) return a partial log whose ``failure`` field carries the reason.
     """
     p, geo = setup.bundle.params, setup.bundle.geometry
     period, n_sub, dt_sub = 1.0 / setup.control_rate, setup.n_sub, setup.dt_sub
@@ -498,38 +500,38 @@ def run(setup: RunSetup) -> RunResult:
     log = TelemetryLog()
     records, events = log.records, log.events
     state = initial_state(setup)
+    t = state.t
     ik_failures = 0
     landings = 0
     touchdown = None  # the last tick's last landing
     cycle_starts: dict[str, int] = {}  # key after a landing -> first tick with it
     event_ticks = {}  # tick that had events -> its start state and command
-
-    def plant(state, cmd):
-        return _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log)
-
-    def done(t, landings):  # the loop below tests its negation inline
-        return not t < t_stop or (hops is not None and landings >= hops)
+    i = None  # the cycle row the next tick copies, once the state has repeated
 
     def abort(reason: str) -> RunResult:
         log.failure = reason
         return RunResult(log, setup)
 
-    def finish(t, landings) -> RunResult:
-        if setup.hops is not None and landings < setup.hops:
-            return abort(
-                f"hop target not reached ({landings} of {setup.hops} landings "
-                f"by t={t:.6f})"
-            )
-        return RunResult(log, setup)
-
-    while state.t < t_stop and (hops is None or landings < hops):
+    while t < t_stop and (hops is None or landings < hops):
+        if i is not None:  # a copied tick: cycle row i at time t
+            records.append(_new_record(Record, (t, *records[i][1:])))
+            if i in event_ticks:  # rerun the plant, so event times come out as computed
+                begin, cmd = event_ticks[i]
+                seen = len(events)
+                t = _advance_tick(replace(begin, t=t), cmd, force_law, dt_sub, n_sub, p, geo, log).t
+                landings += sum(event.kind == "landing" for event in events[seen:])
+            else:  # the clock as the plant moves it
+                for _ in range(n_sub):
+                    t += dt_sub
+            i = i + 1 if i + 1 < stop else start
+            continue
         if touchdown is not None:
             tick = len(records)
             start = cycle_starts.setdefault(_cycle_key(state, controller, ik_failures), tick)
-            if start < tick:
-                return finish(*_replay_cycle(
-                    log, start, event_ticks, state.t, landings, done, plant, n_sub, dt_sub
-                ))
+            if start < tick:  # ticks start:tick repeat from here on
+                i, stop = start, tick
+                log.cycle = (start, stop)
+                continue
         cmd = controller.command(state)
         records.append(_record_from(state, cmd))
         if cmd.ik_clamped:
@@ -552,13 +554,19 @@ def run(setup: RunSetup) -> RunResult:
                 if event.kind == "landing":
                     landings += 1
                     touchdown = event
-        state = end
+        state, t = end, end.t
         if not (math.isfinite(state.y_body) and abs(state.y_body) < 1e6):
             return abort(f"state diverged at t={state.t:.6f}")
         controller.advance(period, state, touchdown)
 
-    records.append(_record_from(state, controller.command(state)))
-    return finish(state.t, landings)
+    # the closing record: the last state's command, or the cycle's next row
+    records.append(
+        _record_from(state, controller.command(state)) if i is None
+        else _new_record(Record, (t, *records[i][1:]))
+    )
+    if hops is not None and landings < hops:
+        return abort(f"hop target not reached ({landings} of {hops} landings by t={t:.6f})")
+    return RunResult(log, setup)
 
 
 def _cycle_key(state: SimState, controller, ik_failures: int) -> str:
@@ -574,36 +582,6 @@ def _cycle_key(state: SimState, controller, ik_failures: int) -> str:
         state.phase, state.y_body, state.v_body, state.y_foot, state.v_foot,
         vars(controller), ik_failures,
     ))
-
-
-def _replay_cycle(log, start, event_ticks, t, landings, done, plant, n_sub, dt_sub):
-    """Repeat ticks ``start`` up to the last record, whose state the coming
-    tick has again, from time ``t`` until ``done(t, landings)``; return the
-    end time and landings.
-
-    Records the cycle's bounds as ``log.cycle``.  A replayed tick appends
-    its cycle record at the new time.  One without events moves the clock by
-    ``n_sub`` additions of ``dt_sub``, as the plant does; one with events
-    reruns ``plant`` from its start state and held command in
-    ``event_ticks``.  The cycle's next record closes the log.
-    """
-    records, events = log.records, log.events
-    stop = len(records)
-    log.cycle = (start, stop)
-    i = start
-    while not done(t, landings):
-        records.append(_new_record(Record, (t, *records[i][1:])))
-        if i in event_ticks:
-            state, cmd = event_ticks[i]
-            seen = len(events)
-            t = plant(replace(state, t=t), cmd).t
-            landings += sum(event.kind == "landing" for event in events[seen:])
-        else:
-            for _ in range(n_sub):
-                t += dt_sub
-        i = i + 1 if i + 1 < stop else start
-    records.append(_new_record(Record, (t, *records[i][1:])))
-    return t, landings
 
 
 def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState:

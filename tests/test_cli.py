@@ -394,6 +394,25 @@ class TestCmdRun:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("text", "reason"),
+        [
+            ("[run]\npreset = physical-force\n[run]\nhops = 2\n", "section 'run' already exists"),
+            ("[run]\nhops = 2\nhops = 3\n", "option 'hops' in section 'run' already exists"),
+        ],
+        ids=["section", "key"],
+    )
+    def test_duplicate_is_one_error_line(self, tmp_path, capsys, text, reason):
+        # configparser rejects a repeated section or key with an error that
+        # is not a ParsingError, so it carries no line of its own
+        cfg = write(tmp_path, text)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: invalid config {cfg}: While reading from '{cfg}' [line  3]: {reason}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "traj"])
     def test_no_lift_off_is_one_error_line(self, tmp_path, capsys, command):
         # the spring cannot hold the 5 kg foot up at this amplitude

@@ -596,7 +596,7 @@ def assert_no_child_and_no_new_fd(fds_before):
 
 def replayed_log(n, start, stop):
     """An ``n``-row log whose rows from ``stop`` on copy the cycle
-    ``start:stop`` at new times, as ``sim._replay_cycle`` copies them."""
+    ``start:stop`` at new times, as ``sim.run`` copies them."""
     rows = special_records(stop)
     for k in range(stop, n):
         rows.append(sim.Record(1.5 * k + 0.1, *rows[start + (k - stop) % (stop - start)][1:]))

@@ -283,3 +283,24 @@ class TestFirstStanceWindow:
         log = TelemetryLog(records=[make_record(t=0.0)])
         with pytest.raises(ValueError):
             metrics.first_stance_window(log)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: metrics.foot_clearance(TelemetryLog()), "empty log"),
+        (
+            lambda: metrics.energy_balance(
+                TelemetryLog(records=[make_record(t=0.0), make_record(t=2.0)]),
+                StanceWindow(0.0, 1.0),
+                HopperParams(),
+            ),
+            "window contains fewer than two records",
+        ),
+        (lambda: metrics.trace_mean_gap([], aor_curve(MOTOR)), "log has no stance records"),
+    ],
+    ids=["foot_clearance", "energy_balance", "trace_mean_gap"],
+)
+def test_metric_without_data_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -88,6 +88,30 @@ def test_default_geometry_matches_leg():
     assert geo.L1 == 0.38 and geo.L2 == 0.361
 
 
+def test_default_geometry_has_a_usable_leg_map(physical):
+    # validate checks the leg map only of a geometry its caller passes, so
+    # the one it defaults to must pass that check
+    assert model.validate(physical, geometry=LegGeometry()).geometry == LegGeometry()
+
+
+def test_leg_map_checked_only_for_a_passed_geometry(physical, monkeypatch):
+    from hopsim import kinematics, sim
+
+    calls = []
+    inner = kinematics.inverse_kinematics
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(kinematics, "inverse_kinematics", counting)
+    sim.TwoMassReference(physical, 2.5e-5)
+    assert model.validate(physical).geometry == LegGeometry()
+    assert not calls
+    model.validate(physical, geometry=LegGeometry())
+    assert len(calls) == 1
+
+
 def test_default_gains_are_table_values():
     g = Gains()
     assert g.k_p == 5424.0 and g.k_d == 9.0
