@@ -370,6 +370,12 @@ def _run_side(out: Path, setup: sim.RunSetup, plots: bool, overlay: bool = False
     this run writes no plots of its own."""
     result = sim.run(setup)
     log = result.log
+    if setup.controller == "spring":  # see control.VirtualSpringController
+        clamped = sum(r.tau_des_knee != r.tau_dyn_knee for r in log.records)
+        if clamped:
+            print(f"warning: {clamped} of {len(log.records)} rows record a knee command clamped "
+                  "below the torque the plant applied: the plant integrated the unclamped spring "
+                  "law", file=sys.stderr)
     write_atomic(out / "run.csv", log.to_csv())
     curve = metrics.aor_curve(setup.bundle.motor)
     trace = tuple(metrics.speed_torque_trace(log))

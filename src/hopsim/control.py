@@ -247,8 +247,9 @@ class VirtualSpringController:
     The plant integrates the unclamped ``force_law``, while :meth:`command`,
     which the run records, clamps the knee torque to the motor envelope.
     Under a motor the spring saturates, such as the default one, the log and
-    its work and energy audit thus describe torques the plant never applied;
-    the oracle tests use a motor the spring stays inside.
+    its work and energy audit thus describe torques the plant never applied,
+    which ``run`` and ``compare`` warn of; the oracle tests use a motor the
+    spring stays inside.
     """
 
     def __init__(self, p: HopperParams, geo: LegGeometry, motor: MotorParams):

@@ -21,13 +21,11 @@ pre-step pin force, so each leg configuration is evaluated once.  The leg
 terms are computed once per tick, at its end state: they give the joint
 state recorded for it and ride on the returned state into the next tick,
 whose first force differs only in the held torques.  The leg stops are
-called only when a substep leaves their interval, and :func:`_crossing`
-only when an event is possible: in stance on a nonpositive pin force at the
-substep's end, in flight on a foot at or below ``CONTACT_EPSILON`` at either
-end.  The plant's constants (``1/m``, ``1/m_e``, ``g``) are bound once per
-tick and passed to the RK4 steps.  None of this changes a floating-point
-operation, so telemetry is byte-identical to evaluating every configuration
-each time it is needed.
+called only when a substep leaves their interval, and each phase tests its
+one event where the substep is taken.  The plant's constants (``1/m``,
+``1/m_e``, ``g``) are bound once per tick and passed to the RK4 steps.  None
+of this changes a floating-point operation, so telemetry is byte-identical
+to evaluating every configuration each time it is needed.
 
 Nothing in a tick reads the time ``t``, so a run whose whole state repeats
 repeats its ticks.  At the first tick after each landing :func:`run` keys
@@ -406,47 +404,6 @@ def _rk4_flight(yb, vb, yf, vf, f, dt, inv_m, inv_me, g, law):
     return yb_n, vb_n, yf_n, vf_n
 
 
-# --- event detection -------------------------------------------------------
-
-
-def _crossing(
-    phase: HopPhase,
-    prev_pin: float,
-    next_pin: float,
-    prev_yf: float,
-    next_yf: float,
-    prev_vf: float,
-    next_vf: float,
-) -> tuple[str, float] | None:
-    """The phase event within one step, as ("lift" or "landing", fraction).
-
-    The fraction of the step at which the crossing occurs locates the event
-    by linear interpolation; :func:`_advance_tick` is the only caller.  In
-    stance, lift-off fires when the pin (ground constraint) force crosses
-    zero from above; a nonpositive force at both ends unpins immediately.
-    In flight, landing fires when the foot height crosses zero from above
-    with downward velocity.  The two cannot fire in the same phase; if a
-    re-pinned foot is immediately pulled, landing has already won and the
-    lift follows one substep later.
-    """
-    if phase is HopPhase.STANCE:
-        if prev_pin > 0.0 and next_pin <= 0.0:
-            return "lift", prev_pin / (prev_pin - next_pin)
-        if prev_pin <= 0.0 and next_pin <= 0.0:
-            return "lift", 0.0
-        return None
-    if prev_yf > CONTACT_EPSILON and next_yf <= CONTACT_EPSILON:
-        frac = prev_yf / (prev_yf - next_yf) if prev_yf != next_yf else 0.0
-        v_at = prev_vf + frac * (next_vf - prev_vf)
-        if v_at < 0.0:
-            return "landing", frac
-    elif prev_yf <= CONTACT_EPSILON and next_vf < 0.0:
-        # Foot at or below contact level being driven down (a lift that was
-        # immediately reversed): re-pin right away.
-        return "landing", 0.0
-    return None
-
-
 # --- run loop ---------------------------------------------------------------
 
 
@@ -590,12 +547,18 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
     Held torques map to the task force through :func:`_held_force_law`; a
     continuous ``force_law`` (not None) replaces it.  Each substep is one
     RK4 step of the active phase from the force at its start state, then the
-    leg stops.  Phase events found inside a substep are appended to
-    ``log.events`` and the rest of the substep is integrated in the new
-    phase; :func:`_crossing` is called only when the substep ends on a
-    nonpositive stance pin force, or starts or ends with a flight foot at or
-    below ``CONTACT_EPSILON``.  ``1/m``, ``1/m_e`` and ``g`` are bound once
-    per tick.  Returns the end state with its leg terms (the tick's one
+    leg stops.  Each phase then tests its event, located by linear
+    interpolation within the substep.  In stance, lift-off fires when the
+    pin force (foot weight + task force) ends the substep nonpositive: at its
+    zero crossing from a positive start, at once from a nonpositive one.  In
+    flight, landing fires when the foot crosses ``CONTACT_EPSILON`` from
+    above with a downward interpolated velocity, or at once when a foot at or
+    below it is driven down (a lift that was immediately reversed).  The two
+    cannot fire in the same phase: if a re-pinned foot is pulled at once, the
+    landing wins and the lift follows one substep later.  An event is
+    appended to ``log.events`` and the rest of the substep is integrated in
+    the new phase.  ``1/m``, ``1/m_e`` and ``g`` are bound once per tick.
+    Returns the end state with its leg terms (the tick's one
     :func:`_leg_terms` call), which give the next tick's first held force.
     """
     tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
@@ -625,31 +588,38 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
             if not (isfinite(nyb) and isfinite(nvb) and isfinite(nyf) and isfinite(nvf)):
                 raise SimulationAbort(f"non-finite state at t={t + dt_left:.6f}")
             nf = law(nyb - nyf)
-            tr = None
-            if events_seen < _MAX_EVENTS_PER_STEP and (
-                weight_e + nf <= 0.0 if phase is STANCE
-                else nyf <= CONTACT_EPSILON or yf <= CONTACT_EPSILON
-            ):
-                # _crossing reads the pin forces only in stance.
-                tr = _crossing(phase, weight_e + f, weight_e + nf, yf, nyf, vf, nvf)
-            if tr is None:
+            kind = None  # the substep's event, at ``frac`` of ``dt_left``
+            if events_seen < _MAX_EVENTS_PER_STEP:
+                if phase is STANCE:
+                    pin = weight_e + nf  # the pin force at the substep's end
+                    if pin <= 0.0:
+                        prev = weight_e + f
+                        if prev > 0.0:
+                            kind, frac = "lift", prev / (prev - pin)
+                        elif prev <= 0.0:  # nonpositive at both ends: unpin at once
+                            kind, frac = "lift", 0.0
+                        if kind is not None:
+                            phase = HopPhase.FLIGHT
+                            yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
+                elif yf > CONTACT_EPSILON:
+                    if nyf <= CONTACT_EPSILON:
+                        frac = yf / (yf - nyf) if yf != nyf else 0.0
+                        if vf + frac * (nvf - vf) < 0.0:
+                            kind, phase, yf, vf = "landing", STANCE, 0.0, 0.0
+                elif yf <= CONTACT_EPSILON and nvf < 0.0:  # at contact and driven down
+                    kind, frac, phase, yf, vf = "landing", 0.0, STANCE, 0.0, 0.0
+            if kind is None:
                 yb, vb, yf, vf, f = nyb, nvb, nyf, nvf, nf
                 t += dt_left
                 break
-            # Interpolate the state to the event time, switch phase, and
-            # integrate the remainder of the substep in the new phase.  A
-            # chattering contact is capped per substep; the remainder is then
+            # Interpolate the body to the event, whose branch has switched the
+            # phase and set the foot (a landing's to rest: plastic contact),
+            # and integrate the rest of the substep in the new phase.  A
+            # chattering contact is capped per substep; the rest is then
             # integrated without further event checks.
             events_seen += 1
-            kind, frac = tr
             t_ev = t + frac * dt_left
             yb, vb = yb + frac * (nyb - yb), vb + frac * (nvb - vb)
-            if kind == "landing":
-                yf, vf = 0.0, 0.0  # plastic contact: foot kinetic energy lost
-                phase = HopPhase.STANCE
-            else:
-                yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
-                phase = HopPhase.FLIGHT
             log.events.append(Event(kind, t_ev, yb, vb))
             dt_left -= frac * dt_left
             t = t_ev

@@ -1,3 +1,4 @@
+import csv
 import errno
 import math
 import os
@@ -14,6 +15,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hopsim import analytic, cli, metrics, model, sim
 from hopsim.cli import RunConfig, main, parse_config
 from hopsim.errors import ConfigError, HopsimError
+
+from conftest import ORACLE_MOTOR
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -573,6 +576,36 @@ class TestCmdRun:
         file = tmp_path / "file"
         assert main(["run", "--config", str(cfg), "--hops", "1", "--out", str(file)]) == 0
         assert (flag / "run.csv").read_bytes() == (file / "run.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_clamped_spring_run_warns_once(self, tmp_path, capsys, command):
+        # the default motor clamps the spring's knee torque on most rows,
+        # while the plant integrates the unclamped law; the run stays ok
+        cfg = write(tmp_path, "[run]\npreset = physical-force\ncontroller = spring\n")
+        other = ["--preset", "physical-force"] if command == "compare" else []
+        out = tmp_path / "o"
+        argv = [command, *other, "--config", str(cfg), "--hops", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 4254 of 4692 rows record a knee command clamped below the torque the "
+            "plant applied: the plant integrated the unclamped spring law"
+        ]
+        run_csv = (out / "b-spring" if command == "compare" else out) / "run.csv"
+        with run_csv.open() as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 4692
+        assert sum(abs(float(r["tau_dyn_knee"])) > float(r["tau_sat_knee"]) for r in rows) == 4254
+
+    def test_spring_run_inside_the_envelope_prints_no_warning(self, tmp_path, capsys):
+        m = ORACLE_MOTOR
+        cfg = write(tmp_path, (
+            "[run]\npreset = physical-force\ncontroller = spring\n"
+            f"[motor]\ntau_max = {m.tau_max}\nomega_max = {m.omega_max}\nR = {m.R}\n"
+        ))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--hops", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "status.txt").read_text() == "ok\n"
 
     def test_python_m_hopsim(self, tmp_path):
         env = dict(os.environ)

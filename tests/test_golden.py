@@ -5,9 +5,9 @@ force-vs-position comparison and of the other CLI cases,
 ``RunConfig.to_text`` and the two-mass reference's events.  Bitwise
 oracles: the leg-terms kernel, the AOR lookup, the CSV row format, the SVG
 polyline, the trajectory cycle, the leg kinematics and the envelope
-command and the two-mass reference's loop, each against a verbatim copy of
-the code it replaced, and the plant's held force law against the force
-taken from the leg terms.
+command, the two-mass reference's loop and the plant tick's event location,
+each against a verbatim copy of the code it replaced, and the plant's held
+force law against the force taken from the leg terms.
 Writing ``run.csv`` streams it in chunks, with a bound on the memory that
 takes whatever the log's length.
 
@@ -33,7 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hopsim import analytic, cli, control, kinematics, model, sim, svg
 from hopsim.cli import main, parse_config
-from hopsim.errors import UnreachableLengthError
+from hopsim.errors import SimulationAbort, UnreachableLengthError
 from hopsim.kinematics import LegJacobian
 from hopsim.metrics import AorCurve, aor_curve
 from hopsim.model import HopperParams, LegGeometry, MotorParams
@@ -292,6 +292,167 @@ def test_reference_events_bitwise_equal_to_legacy_loop(m, m_e, k_s, y_s_neu, C_a
     # that lift's step, the one loop stops before it.
     assert [e.kind for e in events] == ["lift", "landing"] * hops + ["lift"]
     assert event_bits(events) == event_bits(LegacyTwoMassReference(p, dt).run(hops).events)
+
+
+def legacy_crossing(phase, prev_pin, next_pin, prev_yf, next_yf, prev_vf, next_vf):
+    """The plant's event location as first written, a function of its own
+    that returned ("lift" or "landing", fraction) or None; kept verbatim as
+    the oracle, with the module's names qualified."""
+    if phase is model.HopPhase.STANCE:
+        if prev_pin > 0.0 and next_pin <= 0.0:
+            return "lift", prev_pin / (prev_pin - next_pin)
+        if prev_pin <= 0.0 and next_pin <= 0.0:
+            return "lift", 0.0
+        return None
+    if prev_yf > sim.CONTACT_EPSILON and next_yf <= sim.CONTACT_EPSILON:
+        frac = prev_yf / (prev_yf - next_yf) if prev_yf != next_yf else 0.0
+        v_at = prev_vf + frac * (next_vf - prev_vf)
+        if v_at < 0.0:
+            return "landing", frac
+    elif prev_yf <= sim.CONTACT_EPSILON and next_vf < 0.0:
+        # Foot at or below contact level being driven down (a lift that was
+        # immediately reversed): re-pin right away.
+        return "landing", 0.0
+    return None
+
+
+def legacy_advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log):
+    """The plant tick as it called :func:`legacy_crossing`, behind a guard
+    that repeated its conditions; kept verbatim as the oracle, with the
+    module's names qualified."""
+    tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
+    law = sim._held_force_law(tau_h, tau_k, geo) if force_law is None else force_law
+    terms = state.terms if force_law is None else None
+
+    t, phase = state.t, state.phase
+    yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
+    lo, hi = geo.constants.y_lo, geo.constants.y_hi
+    inv_m, inv_me, g = 1.0 / p.m, 1.0 / p.m_e, p.g
+    isfinite, STANCE = math.isfinite, model.HopPhase.STANCE
+    weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
+    f = (law(yb - yf) if terms is None
+         else 0.0 if terms[1] == 0.0 else (tau_k + tau_h * terms[2]) / terms[1])
+
+    for _ in range(n_sub):
+        dt_left = dt_sub
+        events_seen = 0
+        while dt_left > 0.0:
+            if phase is STANCE:
+                nyb, nvb = sim._rk4_stance(yb, vb, f, dt_left, inv_m, g, law)
+                nyf, nvf = yf, vf
+            else:
+                nyb, nvb, nyf, nvf = sim._rk4_flight(yb, vb, yf, vf, f, dt_left, inv_m, inv_me, g, law)
+            if not lo <= nyb - nyf <= hi:  # a stance foot is exactly 0.0
+                nyb, nvb, nyf, nvf = sim._apply_leg_stops(phase, nyb, nvb, nyf, nvf, p, geo)
+            if not (isfinite(nyb) and isfinite(nvb) and isfinite(nyf) and isfinite(nvf)):
+                raise SimulationAbort(f"non-finite state at t={t + dt_left:.6f}")
+            nf = law(nyb - nyf)
+            tr = None
+            if events_seen < sim._MAX_EVENTS_PER_STEP and (
+                weight_e + nf <= 0.0 if phase is STANCE
+                else nyf <= sim.CONTACT_EPSILON or yf <= sim.CONTACT_EPSILON
+            ):
+                # _crossing reads the pin forces only in stance.
+                tr = legacy_crossing(phase, weight_e + f, weight_e + nf, yf, nyf, vf, nvf)
+            if tr is None:
+                yb, vb, yf, vf, f = nyb, nvb, nyf, nvf, nf
+                t += dt_left
+                break
+            # Interpolate the state to the event time, switch phase, and
+            # integrate the remainder of the substep in the new phase.  A
+            # chattering contact is capped per substep; the remainder is then
+            # integrated without further event checks.
+            events_seen += 1
+            kind, frac = tr
+            t_ev = t + frac * dt_left
+            yb, vb = yb + frac * (nyb - yb), vb + frac * (nvb - vb)
+            if kind == "landing":
+                yf, vf = 0.0, 0.0  # plastic contact: foot kinetic energy lost
+                phase = model.HopPhase.STANCE
+            else:
+                yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
+                phase = model.HopPhase.FLIGHT
+            log.events.append(sim.Event(kind, t_ev, yb, vb))
+            dt_left -= frac * dt_left
+            t = t_ev
+            f = law(yb - yf)
+
+    terms = sim._leg_terms(yb - yf, geo)
+    return sim.SimState(t, phase, yb, vb, yf, vf, sim._joints_from(terms, vb - vf, geo), terms)
+
+
+PHYSICAL = model.validate(model.physics_preset("physical"))
+_EPS = sim.CONTACT_EPSILON
+_WEIGHT_E = PHYSICAL.params.m_e * PHYSICAL.params.g  # a stance pin force of 0.0 needs -_WEIGHT_E
+# foot heights and rates at the event conditions' edges, NaN among them
+FEET = st.sampled_from(
+    [0.0, -0.0, _EPS, -_EPS, math.nextafter(_EPS, 0.0), math.nextafter(_EPS, 1.0), math.nan]
+) | st.floats(min_value=-0.01, max_value=0.01)
+RATES = st.sampled_from([0.0, -0.0, math.nan]) | st.floats(min_value=-5.0, max_value=5.0)
+# None (the held torques' law) or the continuous law a + b*y_rel
+LAWS = st.none() | st.tuples(
+    st.sampled_from([-_WEIGHT_E, 0.0, math.nan]) | st.floats(min_value=-200.0, max_value=200.0),
+    st.sampled_from([0.0, -2000.0]) | st.floats(min_value=-5000.0, max_value=5000.0),
+)
+
+
+def tick_outcome(advance, state, cmd, law, dt, n_sub):
+    """The events and end state of one plant tick, every float as its bytes,
+    or the abort it raised."""
+    log = sim.TelemetryLog()
+    try:
+        end = advance(state, cmd, law, dt, n_sub, PHYSICAL.params, PHYSICAL.geometry, log)
+    except SimulationAbort as exc:
+        return "abort", str(exc)
+    js = end.joints
+    floats = (
+        end.t, end.y_body, end.v_body, end.y_foot, end.v_foot,
+        js.theta_hip, js.theta_knee, js.thetad_hip, js.thetad_knee, *end.terms,
+    )
+    return event_bits(log.events), end.phase, bits(floats)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    phase=st.sampled_from(model.HopPhase),
+    y_rel=st.floats(min_value=0.0, max_value=0.8),  # both leg stops and past them
+    y_foot=FEET,
+    v_body=RATES,
+    v_foot=RATES,
+    torques=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    law=LAWS,
+    with_terms=st.booleans(),
+    dt=st.sampled_from([2.5e-4, 2.5e-5]) | st.floats(min_value=1e-26, max_value=1e-3),
+    n_sub=st.integers(min_value=1, max_value=4),
+)
+# a foot one ulp above contact height ends its substep exactly on it
+@example(
+    phase=model.HopPhase.FLIGHT, y_rel=0.45, y_foot=math.nextafter(_EPS, 1.0), v_body=-1.0,
+    v_foot=-1.0, torques=(0.0, 0.0), law=None, with_terms=False, dt=1.1e-25, n_sub=1,
+)
+# a stance pin force of exactly 0.0 at both ends of the substep
+@example(
+    phase=model.HopPhase.STANCE, y_rel=0.45, y_foot=0.0, v_body=0.0, v_foot=0.0,
+    torques=(0.0, 0.0), law=(-_WEIGHT_E, 0.0), with_terms=False, dt=2.5e-4, n_sub=2,
+)
+def test_plant_tick_bitwise_equal_to_legacy_crossing(
+    phase, y_rel, y_foot, v_body, v_foot, torques, law, with_terms, dt, n_sub
+):
+    geo = PHYSICAL.geometry
+    y_body = y_foot + y_rel
+    terms = sim._leg_terms(y_body - y_foot, geo)
+    joints = sim._joints_from(terms, v_body - v_foot, geo)
+    state = sim.SimState(
+        0.0, phase, y_body, v_body, y_foot, v_foot, joints, terms if with_terms else None
+    )
+    tau_h, tau_k = torques
+    cmd = control.JointCommands(
+        control.TorqueCommand(tau_h, 35.0, tau_h), control.TorqueCommand(tau_k, 35.0, tau_k)
+    )
+    force_law = None if law is None else (lambda y, a=law[0], b=law[1]: a + b * y)
+    assert tick_outcome(sim._advance_tick, state, cmd, force_law, dt, n_sub) == tick_outcome(
+        legacy_advance_tick, state, cmd, force_law, dt, n_sub
+    )
 
 
 # path under --out -> sha256 of each file that

@@ -102,61 +102,64 @@ class TestStep:
         assert 12.0 <= ratio <= 20.0
 
 
-def crossing_possible(phase, next_pin, prev_yf, next_yf):
-    """The condition under which sim._advance_tick calls sim._crossing."""
-    if phase is HopPhase.STANCE:
-        return next_pin <= 0.0
-    return next_yf <= sim.CONTACT_EPSILON or prev_yf <= sim.CONTACT_EPSILON
-
-
-_EPS = sim.CONTACT_EPSILON
-EDGE_FLOATS = st.sampled_from(
-    [0.0, -0.0, _EPS, -_EPS, math.nextafter(_EPS, 0.0), math.nextafter(_EPS, 1.0), 1.0, -1.0]
-) | st.floats(allow_nan=True, allow_infinity=True)
-
-
 class TestDetectTransition:
-    # sim._crossing(phase, pin forces before/after, foot heights, foot rates)
+    # Each phase's event, through one plant tick: a lift when the stance pin
+    # force (foot weight + task force) reaches zero, a landing when the
+    # flight foot reaches contact height moving down.
 
-    def test_landing_interpolated_at_half(self):
-        kind, frac = sim._crossing(HopPhase.FLIGHT, 0.0, 0.0, 0.001, -0.001, -1.0, -1.0)
-        assert kind == "landing"
-        assert frac * 5e-4 == pytest.approx(2.5e-4, rel=1e-12)
+    def test_landing_interpolated_at_half(self, bundle_physical):
+        # free fall, foot and body together: the foot ends the substep as far
+        # below the ground as it started above it
+        g, dt, v = bundle_physical.params.g, 5e-4, -4.0
+        y_foot = -(v * dt - 0.5 * g * dt * dt) / 2.0
+        state = make_state(HopPhase.FLIGHT, 0.45 + y_foot, v, y_foot, v)
+        end, log = advance(state, 1, dt, bundle_physical)
+        assert [e.kind for e in log.events] == ["landing"]
+        assert log.events[0].t == pytest.approx(2.5e-4, rel=1e-9)
+        assert end.phase is HopPhase.STANCE and end.y_foot == 0.0
 
-    def test_no_event_without_crossing(self):
-        assert sim._crossing(HopPhase.FLIGHT, 0.0, 0.0, 0.01, 0.01025, 1.0, 1.0) is None
+    def test_no_event_without_crossing(self, bundle_physical):
+        # a flight foot well above the ground, and a stance foot whose pin
+        # force stays at the foot's weight
+        for state in (
+            make_state(HopPhase.FLIGHT, 0.46, 1.0, 0.01, 1.0),
+            make_state(HopPhase.STANCE, 0.45, 0.0, 0.0, 0.0),
+        ):
+            end, log = advance(state, 1, 5e-4, bundle_physical)
+            assert not log.events and end.phase is state.phase
 
-    def test_no_landing_when_foot_moving_up(self):
-        # height crossed but velocity interpolates positive: no event
-        assert sim._crossing(HopPhase.FLIGHT, 0.0, 0.0, 0.001, -0.001, 1.0, 1.0) is None
+    def test_no_landing_when_foot_moving_up(self, bundle_physical):
+        # The fold stop snaps a rising foot from above contact height to
+        # below it: the height crosses, but the velocity interpolates
+        # positive, so there is no landing.
+        lo = bundle_physical.geometry.constants.y_lo
+        state = make_state(HopPhase.FLIGHT, 0.002 + lo - 0.01, 0.1, 0.002, 0.1)
+        end, log = advance(state, 1, 5e-4, bundle_physical)
+        assert not log.events
+        assert end.phase is HopPhase.FLIGHT
+        assert end.y_foot < 0.0 < end.v_foot
 
-    def test_lift_on_ground_force_zero_crossing(self):
-        kind, frac = sim._crossing(HopPhase.STANCE, 4.0, -4.0, 0.0, 0.0, 0.0, 0.0)
-        assert kind == "lift"
-        assert frac * 5e-4 == pytest.approx(2.5e-4, rel=1e-12)
+    def test_lift_on_ground_force_zero_crossing(self, bundle_physical):
+        # a task force that leaves a pin force of 4 N at the start state and
+        # -4 N past it: the lift is at half the substep
+        weight_e = bundle_physical.params.m_e * bundle_physical.params.g
+        y0 = 0.45
+        state = make_state(HopPhase.STANCE, y0, 1.0, 0.0, 0.0)
+        law = lambda y: 4.0 - weight_e if y <= y0 else -4.0 - weight_e
+        end, log = advance(state, 1, 5e-4, bundle_physical, force_law=law)
+        assert [e.kind for e in log.events] == ["lift"]
+        assert log.events[0].t == pytest.approx(2.5e-4, rel=1e-12)
+        assert end.phase is HopPhase.FLIGHT
 
     def test_flight_foot_at_contact_driven_down_repins(self, bundle_physical):
         # A flight foot at ground level, rising but pushed down so hard that
-        # the substep ends above contact height and moving down: the end
-        # height alone would skip _crossing, the start height calls it.
+        # the substep ends above contact height and moving down: the start
+        # height, not the end one, makes it a landing at once.
         push = 40.0 * bundle_physical.params.m_e
         state = make_state(HopPhase.FLIGHT, 0.7, 0.0, 0.0, 0.01)
         end, log = advance(state, 1, 2.5e-4, bundle_physical, force_law=lambda y: push)
         assert [(e.kind, e.t) for e in log.events] == [("landing", 0.0)]
         assert end.phase is HopPhase.STANCE and end.y_foot == 0.0
-
-    @given(
-        phase=st.sampled_from(HopPhase),
-        pins=st.tuples(EDGE_FLOATS, EDGE_FLOATS),
-        heights=st.tuples(EDGE_FLOATS, EDGE_FLOATS),
-        rates=st.tuples(EDGE_FLOATS, EDGE_FLOATS),
-    )
-    def test_no_event_where_the_plant_skips_crossing(self, phase, pins, heights, rates):
-        (prev_pin, next_pin), (prev_yf, next_yf), (prev_vf, next_vf) = pins, heights, rates
-        if not crossing_possible(phase, next_pin, prev_yf, next_yf):
-            assert sim._crossing(
-                phase, prev_pin, next_pin, prev_yf, next_yf, prev_vf, next_vf
-            ) is None
 
     def test_reference_lift_emitted_once_per_stance(self, physical):
         ref = sim.TwoMassReference(physical).run(hops=2)
