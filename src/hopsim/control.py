@@ -19,6 +19,8 @@ from typing import NamedTuple
 from . import analytic, kinematics
 from .model import Gains, HopperParams, HopPhase, LegGeometry, MotorParams
 
+_new_command = tuple.__new__  # (cls, fields): cls(*fields) without its __new__ call
+
 
 class TorqueCommand(NamedTuple):
     """One joint's command: raw PD torque, envelope bound, clamped result."""
@@ -81,7 +83,7 @@ def make_command(tau_dyn: float, thetad_act: float, motor: MotorParams) -> Torqu
     omega_max = motor.omega_max
     tau_sat = motor.R * (0.0 if speed > omega_max else motor.tau_max * (1.0 - speed / omega_max))
     tau_des = tau_dyn if abs(tau_dyn) <= tau_sat else math.copysign(tau_sat, tau_dyn)
-    return TorqueCommand(tau_dyn, tau_sat, tau_des)
+    return _new_command(TorqueCommand, (tau_dyn, tau_sat, tau_des))
 
 
 def clamp_joints(
@@ -89,11 +91,11 @@ def clamp_joints(
 ) -> JointCommands:
     """Both joints' raw torques through the envelope clamp, at the speeds
     of ``joints``; every controller's command ends here."""
-    return JointCommands(
+    return _new_command(JointCommands, (
         make_command(tau_hip, joints.thetad_hip, motor),
         make_command(tau_knee, joints.thetad_knee, motor),
         ik_clamped,
-    )
+    ))
 
 
 def position_tracking_gains(motor: MotorParams) -> Gains:
@@ -114,16 +116,18 @@ class _TrajectoryController:
 
     The trajectory clock runs freely through stance (wrapping at the period)
     but pauses at the touchdown-ready point while airborne, so a flight that
-    outlasts the planned window holds the landing posture.
+    outlasts the planned window holds the landing posture, whose targets
+    (``_held``) are computed once, in ``__init__``.
 
     A detected touchdown enters a landing segment instead of replaying the
     canonical descent: the desired leg length follows the spring response
     fitted to the actual touchdown state (same stance frequency, amplitude
-    and phase from the measured length and rate).  A mismatched canonical
-    descent would command a faster drop than the actual fall and yank the
-    foot off the ground.  Once the measured leg stops compressing, the clock
-    rejoins the canonical ascent at the phase matching the actual leg
-    length, so the push always starts from the depth actually reached.
+    and phase from the measured length and rate) and holds its bottom
+    (``_bottom``, computed with the fit).  A mismatched canonical descent
+    would command a faster drop than the actual fall and yank the foot off
+    the ground.  Once the measured leg stops compressing, the clock rejoins
+    the canonical ascent at the phase matching the actual leg length, so the
+    push always starts from the depth actually reached.
     """
 
     force_law = None  # the plant holds this controller's torques over a tick
@@ -133,12 +137,14 @@ class _TrajectoryController:
         self.motor = motor
         self.cycle = cycle
         self.t_traj = 0.0
-        self._landing = None  # (amplitude, phase) of the fitted descent
+        self._landing = self._bottom = None  # fitted descent (amplitude, phase), its bottom
         self._landing_tau = 0.0
         self._compressed = False  # leg has been seen compressing since touchdown
         self._omega = analytic.stance_omega(cycle.params)
         # Desired lengths are capped at the leg stops.
         self._y_lo, self._y_hi = geo.constants.y_lo, geo.constants.y_hi
+        t = cycle.touchdown_time  # the clock a long flight holds
+        self._held = self._targets(cycle.y_des(t), cycle.y_des_rate(t))
 
     def _ascent_phase_for_length(self, y_rel: float) -> float:
         """Canonical ascent time whose leg length matches y_rel (clamped)."""
@@ -151,9 +157,11 @@ class _TrajectoryController:
         """Move the clock over a tick that ended in ``state``, first fitting the
         descent to ``touchdown``, the tick's last landing (foot at rest at 0)."""
         if touchdown is not None:
-            w = self._omega
-            dy, v_td = touchdown.y_body - self.cycle.params.y_s_neu, touchdown.v_body
-            self._landing = (math.hypot(dy, v_td / w), math.atan2(-v_td / w, dy))
+            w, y_s_neu = self._omega, self.cycle.params.y_s_neu
+            dy, v_td = touchdown.y_body - y_s_neu, touchdown.v_body
+            b, pi = math.hypot(dy, v_td / w), math.pi  # _bottom: the targets at arg = pi
+            self._landing = (b, math.atan2(-v_td / w, dy))
+            self._bottom = self._targets(y_s_neu + b * math.cos(pi), -b * w * math.sin(pi))
             self._landing_tau = 0.0
             self._compressed = v_td < 0.0
         phase, y_rel, v_rel = state.phase, state.y_body - state.y_foot, state.v_body - state.v_foot
@@ -162,7 +170,7 @@ class _TrajectoryController:
                 self._compressed = True
             if phase is HopPhase.STANCE and self._compressed and v_rel >= 0.0:
                 self.t_traj = min(self._ascent_phase_for_length(y_rel), self.cycle.t_lo)
-                self._landing = None
+                self._landing = self._bottom = None
             else:
                 self._landing_tau += dt
             return
@@ -174,24 +182,25 @@ class _TrajectoryController:
     def joint_targets(self) -> tuple[float, float, float, float, bool]:
         """Desired (theta_hip, theta_knee, thetad_hip, thetad_knee, clamped)."""
         if self._landing is not None:
-            b, phi = self._landing
-            w = self._omega
-            # Hold the fitted bottom if the actual leg is still compressing.
-            arg = min(w * self._landing_tau + phi, math.pi)
+            (b, phi), w = self._landing, self._omega
+            arg = w * self._landing_tau + phi
+            if arg >= math.pi:  # hold the fitted bottom while the leg still compresses
+                return self._bottom
             y_des, v_des = self.cycle.params.y_s_neu + b * math.cos(arg), -b * w * math.sin(arg)
+        elif self.t_traj == self.cycle.touchdown_time:
+            return self._held
         else:
             t = self.t_traj
             y_des, v_des = self.cycle.y_des(t), self.cycle.y_des_rate(t)
-        clamped = False
-        if not (self._y_lo < y_des < self._y_hi):
-            y_des = min(max(y_des, self._y_lo), self._y_hi)
-            clamped = True
-        th_h, th_k = kinematics.inverse_kinematics(y_des, self.geometry)
-        if clamped:
-            thd_h = thd_k = 0.0
-        else:
-            thd_h, thd_k = kinematics.joint_rates(th_k, v_des, self.geometry)
-        return th_h, th_k, thd_h, thd_k, clamped
+        return self._targets(y_des, v_des)
+
+    def _targets(self, y_des: float, v_des: float) -> tuple[float, float, float, float, bool]:
+        """Targets of a desired leg length (capped at the stops) and rate."""
+        if self._y_lo < y_des < self._y_hi:
+            th_h, th_k = kinematics.inverse_kinematics(y_des, self.geometry)
+            return th_h, th_k, *kinematics.joint_rates(th_k, v_des, self.geometry), False
+        y_des = min(max(y_des, self._y_lo), self._y_hi)  # clamped: no rate
+        return *kinematics.inverse_kinematics(y_des, self.geometry), 0.0, 0.0, True
 
 
 class ForceController(_TrajectoryController):

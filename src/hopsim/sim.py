@@ -23,9 +23,10 @@ state recorded for it and ride on the returned state into the next tick,
 whose first force differs only in the held torques.  The leg stops are
 called only when a substep leaves their interval, and each phase tests its
 one event where the substep is taken.  The plant's constants (``1/m``,
-``1/m_e``, ``g``) are bound once per tick and passed to the RK4 steps.  None
-of this changes a floating-point operation, so telemetry is byte-identical
-to evaluating every configuration each time it is needed.
+``1/m_e``, ``g``) are bound once per tick and passed to the RK4 steps, and
+the held law's geometry once per run.  None of this changes a floating-point
+operation, so telemetry is byte-identical to evaluating every configuration
+each time it is needed.
 
 Nothing in a tick reads the time ``t``, so a run whose whole state repeats
 repeats its ticks.  At the first tick after each landing :func:`run` keys
@@ -288,25 +289,27 @@ def _leg_terms(y_rel: float, geo: LegGeometry):
     )
 
 
-def _held_force_law(tau_h: float, tau_k: float, geo: LegGeometry) -> Callable[[float], float]:
-    """The task force of held joint torques at a leg length, bit for bit the
-    force from :func:`_leg_terms`: its operations inline and in its order."""
+def _held_force_law(geo: LegGeometry) -> Callable[[float, float], Callable[[float], float]]:
+    """Bound once per run: (tau_h, tau_k) -> their task force at a leg length,
+    bit for bit the force from :func:`_leg_terms`, its operations inline in order."""
     y_lo, y_hi, _, _, sum_sq, two_l1l2, neg_l1l2, neg_l2, l1, l2, knee_sign = geo.constants
     acos, sin, pi = math.acos, math.sin, math.pi
     knee_sign = float(knee_sign)  # int * float would convert the int on every call
 
-    def law(y_rel: float) -> float:
-        y = y_lo if y_rel < y_lo else y_rel
-        if y > y_hi:
-            y = y_hi
-        cos_gamma = (sum_sq - y * y) / two_l1l2
-        if not -1.0 < cos_gamma < 1.0:
-            cos_gamma = 1.0 if cos_gamma >= 1.0 else -1.0
-        dy_dknee = neg_l1l2 * sin(knee_sign * (pi - acos(cos_gamma))) / y
-        dhip_dknee = neg_l2 * (l2 - l1 * cos_gamma) / (y * y)
-        return 0.0 if dy_dknee == 0.0 else (tau_k + tau_h * dhip_dknee) / dy_dknee
+    def held(tau_h: float, tau_k: float) -> Callable[[float], float]:
+        def law(y_rel: float) -> float:
+            y = y_lo if y_rel < y_lo else y_rel
+            if y > y_hi:
+                y = y_hi
+            cos_gamma = (sum_sq - y * y) / two_l1l2
+            if not -1.0 < cos_gamma < 1.0:
+                cos_gamma = 1.0 if cos_gamma >= 1.0 else -1.0
+            dy_dknee = neg_l1l2 * sin(knee_sign * (pi - acos(cos_gamma))) / y
+            dhip_dknee = neg_l2 * (l2 - l1 * cos_gamma) / (y * y)
+            return 0.0 if dy_dknee == 0.0 else (tau_k + tau_h * dhip_dknee) / dy_dknee
 
-    return law
+        return law
+    return held
 
 
 def _joints_from(terms, v_rel: float, geo: LegGeometry) -> kinematics.JointState:
@@ -428,7 +431,7 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
     knee_dyn, knee_sat, knee_des = cmd.knee
     # Record's fields in order; the last two are metrics.saturation_ratio, inline
     return _new_record(Record, (
-        state.t, state.phase.value,
+        state.t, state.phase._value_,  # the member's value, without Enum's property
         state.y_body, state.v_body, state.y_foot, state.v_foot,
         js.theta_hip, js.theta_knee, js.thetad_hip, js.thetad_knee,
         hip_dyn, knee_dyn, hip_des, knee_des, hip_sat, knee_sat,
@@ -453,6 +456,7 @@ def run(setup: RunSetup) -> RunResult:
     period, n_sub, dt_sub = 1.0 / setup.control_rate, setup.n_sub, setup.dt_sub
     controller = CONTROLLERS[setup.controller](setup)
     force_law, t_stop, hops = controller.force_law, _end_time(setup) - 1e-12, setup.hops
+    held_law = _held_force_law(geo) if force_law is None else None
 
     log = TelemetryLog()
     records, events = log.records, log.events
@@ -475,7 +479,8 @@ def run(setup: RunSetup) -> RunResult:
             if i in event_ticks:  # rerun the plant, so event times come out as computed
                 begin, cmd = event_ticks[i]
                 seen = len(events)
-                t = _advance_tick(replace(begin, t=t), cmd, force_law, dt_sub, n_sub, p, geo, log).t
+                begin = replace(begin, t=t)
+                t = _advance_tick(begin, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log).t
                 landings += sum(event.kind == "landing" for event in events[seen:])
             else:  # the clock as the plant moves it
                 for _ in range(n_sub):
@@ -501,7 +506,7 @@ def run(setup: RunSetup) -> RunResult:
 
         seen = len(events)
         try:
-            end = _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log)
+            end = _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log)
         except SimulationAbort as exc:
             return abort(str(exc))
         touchdown = None  # the tick's last landing
@@ -531,9 +536,10 @@ def _cycle_key(state: SimState, controller, ik_failures: int) -> str:
 
     That is the phase, the bits of the four positions and rates (``repr``
     tells -0.0 from 0.0; the joint state and leg terms are functions of
-    them), every attribute of the controller (its trajectory clock and
-    landing fit) and the count of IK-clamped ticks.  Nothing in the dynamics
-    reads ``t``, so two ticks with one key begin the same future.
+    them), every attribute of the controller (its trajectory clock, landing
+    fit and the targets held at the touchdown clock and the fit's bottom)
+    and the count of IK-clamped ticks.  Nothing in the dynamics reads ``t``,
+    so two ticks with one key begin the same future.
     """
     return repr((
         state.phase, state.y_body, state.v_body, state.y_foot, state.v_foot,
@@ -541,13 +547,13 @@ def _cycle_key(state: SimState, controller, ik_failures: int) -> str:
     ))
 
 
-def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState:
+def _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log) -> SimState:
     """Integrate one control tick of ``n_sub`` substeps under ``cmd``, held.
 
-    Held torques map to the task force through :func:`_held_force_law`; a
-    continuous ``force_law`` (not None) replaces it.  Each substep is one
-    RK4 step of the active phase from the force at its start state, then the
-    leg stops.  Each phase then tests its event, located by linear
+    Held torques map to the task force through ``held_law``, the run's
+    :func:`_held_force_law`; a continuous ``force_law`` (not None) replaces
+    it.  Each substep is one RK4 step of the active phase from the force at
+    its start state, then the leg stops.  Each phase then tests its event, located by linear
     interpolation within the substep.  In stance, lift-off fires when the
     pin force (foot weight + task force) ends the substep nonpositive: at its
     zero crossing from a positive start, at once from a nonpositive one.  In
@@ -562,7 +568,7 @@ def _advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log) -> SimState
     :func:`_leg_terms` call), which give the next tick's first held force.
     """
     tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
-    law = _held_force_law(tau_h, tau_k, geo) if force_law is None else force_law
+    law = held_law(tau_h, tau_k) if force_law is None else force_law
     terms = state.terms if force_law is None else None
 
     t, phase = state.t, state.phase

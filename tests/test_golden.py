@@ -4,8 +4,9 @@ Pinned digests: ``run.csv`` of single runs, every file of a plotted
 force-vs-position comparison and of the other CLI cases,
 ``RunConfig.to_text`` and the two-mass reference's events.  Bitwise
 oracles: the leg-terms kernel, the AOR lookup, the CSV row format, the SVG
-polyline, the trajectory cycle, the leg kinematics and the envelope
-command, the two-mass reference's loop and the plant tick's event location,
+polyline, the trajectory cycle, the controller's held targets, the leg
+kinematics and the envelope command, the two-mass reference's loop and the
+plant tick's event location,
 each against a verbatim copy of the code it replaced, and the plant's held
 force law against the force taken from the leg terms.
 Writing ``run.csv`` streams it in chunks, with a bound on the memory that
@@ -154,7 +155,7 @@ def test_held_force_law_bitwise_equal_to_leg_terms(geo, tau_h, tau_k):
         c.y_lo - 1.0, 0.5 * c.y_lo, 0.0, -0.0, 2.0 * c.y_hi, c.y_hi + 1.0,
         math.inf, -math.inf, math.nan,
     ]
-    law = sim._held_force_law(tau_h, tau_k, geo)
+    law = sim._held_force_law(geo)(tau_h, tau_k)
     for y_rel in lengths:
         assert bits([law(y_rel)]) == bits([force_from_leg_terms(tau_h, tau_k, y_rel, geo)]), y_rel
 
@@ -162,7 +163,7 @@ def test_held_force_law_bitwise_equal_to_leg_terms(geo, tau_h, tau_k):
 def test_held_force_law_covers_the_straight_leg():
     # the sweep above reaches dy_dknee == 0, where the force is 0.0
     assert sim._leg_terms(math.inf, STRAIGHT_LEG)[1] == 0.0
-    assert bits([sim._held_force_law(1.5, -2.5, STRAIGHT_LEG)(math.inf)]) == bits([0.0])
+    assert bits([sim._held_force_law(STRAIGHT_LEG)(1.5, -2.5)(math.inf)]) == bits([0.0])
 
 
 @given(
@@ -177,7 +178,7 @@ def test_held_force_law_bitwise_equal_on_random_legs(L1, L2, knee_sign, scale, t
     geo = LegGeometry(L1=L1, L2=L2, knee_sign=knee_sign)
     lo, hi = abs(L1 - L2), L1 + L2
     y_rel = lo + scale * (hi - lo)
-    law = sim._held_force_law(tau_h, tau_k, geo)
+    law = sim._held_force_law(geo)(tau_h, tau_k)
     assert bits([law(y_rel)]) == bits([force_from_leg_terms(tau_h, tau_k, y_rel, geo)])
 
 
@@ -316,12 +317,13 @@ def legacy_crossing(phase, prev_pin, next_pin, prev_yf, next_yf, prev_vf, next_v
     return None
 
 
-def legacy_advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log):
+def legacy_advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log):
     """The plant tick as it called :func:`legacy_crossing`, behind a guard
     that repeated its conditions; kept verbatim as the oracle, with the
-    module's names qualified."""
+    module's names qualified and the held law bound per run, as the plant's
+    is (``held_law`` is ``sim._held_force_law(geo)``)."""
     tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
-    law = sim._held_force_law(tau_h, tau_k, geo) if force_law is None else force_law
+    law = held_law(tau_h, tau_k) if force_law is None else force_law
     terms = state.terms if force_law is None else None
 
     t, phase = state.t, state.phase
@@ -382,6 +384,7 @@ def legacy_advance_tick(state, cmd, force_law, dt_sub, n_sub, p, geo, log):
 
 
 PHYSICAL = model.validate(model.physics_preset("physical"))
+HELD_LAW = sim._held_force_law(PHYSICAL.geometry)
 _EPS = sim.CONTACT_EPSILON
 _WEIGHT_E = PHYSICAL.params.m_e * PHYSICAL.params.g  # a stance pin force of 0.0 needs -_WEIGHT_E
 # foot heights and rates at the event conditions' edges, NaN among them
@@ -401,7 +404,9 @@ def tick_outcome(advance, state, cmd, law, dt, n_sub):
     or the abort it raised."""
     log = sim.TelemetryLog()
     try:
-        end = advance(state, cmd, law, dt, n_sub, PHYSICAL.params, PHYSICAL.geometry, log)
+        end = advance(
+            state, cmd, law, HELD_LAW, dt, n_sub, PHYSICAL.params, PHYSICAL.geometry, log
+        )
     except SimulationAbort as exc:
         return "abort", str(exc)
     js = end.joints
@@ -1064,6 +1069,103 @@ def test_cycle_bitwise_equal_to_free_forms(m, m_e, k_s, C_amp, C_max, cycles):
     t = cycles * cycle.period
     for fast, reference in CYCLE_PAIRS:
         assert outcome(fast, cycle, t) == outcome(reference, cycle, t), fast.__name__
+
+
+# --- controller targets -------------------------------------------------------
+
+
+def legacy_joint_targets(self):
+    """_TrajectoryController.joint_targets as it was before it held its
+    touchdown-clock and fitted-bottom targets, computing both on every tick;
+    kept verbatim as the oracle."""
+    if self._landing is not None:
+        b, phi = self._landing
+        w = self._omega
+        # Hold the fitted bottom if the actual leg is still compressing.
+        arg = min(w * self._landing_tau + phi, math.pi)
+        y_des, v_des = self.cycle.params.y_s_neu + b * math.cos(arg), -b * w * math.sin(arg)
+    else:
+        t = self.t_traj
+        y_des, v_des = self.cycle.y_des(t), self.cycle.y_des_rate(t)
+    clamped = False
+    if not (self._y_lo < y_des < self._y_hi):
+        y_des = min(max(y_des, self._y_lo), self._y_hi)
+        clamped = True
+    th_h, th_k = kinematics.inverse_kinematics(y_des, self.geometry)
+    if clamped:
+        thd_h = thd_k = 0.0
+    else:
+        thd_h, thd_k = kinematics.joint_rates(th_k, v_des, self.geometry)
+    return th_h, th_k, thd_h, thd_k, clamped
+
+
+def targets_bits(targets):
+    *angles, clamped = targets
+    return bits(angles), clamped
+
+
+def check_held_targets(params, y_body, v_body):
+    """The force and position controllers' targets against the oracle's, at
+    the held touchdown clock and one ulp either side, and at a landing fit's
+    bottom (``arg = pi``) and one ulp either side; returns, per controller,
+    which sides of ``arg = pi`` the fit's own clock reached."""
+    cycle, geo, motor = analytic.TrajectoryCycle(params), LegGeometry(), MotorParams()
+    sides = []
+    for ctrl in (
+        control.ForceController(cycle, geo, motor, model.Gains()),
+        control.PositionController(cycle, geo, motor),
+    ):
+        def same(what, ctrl=ctrl):
+            fast, legacy = ctrl.joint_targets(), legacy_joint_targets(ctrl)
+            assert targets_bits(fast) == targets_bits(legacy), (type(ctrl).__name__, what)
+
+        td = cycle.touchdown_time
+        for t in (td, math.nextafter(td, -math.inf), math.nextafter(td, math.inf)):
+            ctrl.t_traj = t
+            same(("t_traj", t))
+        # enter a fit as a run does: a landing, then a stance leg still compressing
+        state = sim.SimState(
+            0.0, model.HopPhase.STANCE, y_body, -1.0, 0.0, 0.0,
+            sim.joint_state_for(y_body, -1.0, geo),
+        )
+        ctrl.advance(2.5e-4, state, sim.Event("landing", 0.0, y_body, v_body))
+        (b, phi), w = ctrl._landing, ctrl._omega
+        # the fit's own clock one ulp either side of where its arg reaches pi
+        tau_pi = (math.pi - phi) / w
+        reached = set()
+        for tau in (0.0, tau_pi, math.nextafter(tau_pi, 0.0), math.nextafter(tau_pi, math.inf)):
+            ctrl._landing_tau = tau
+            reached.add(w * tau + phi >= math.pi)
+            same(("tau", tau))
+        sides.append(reached)
+        # arg exactly pi and one ulp either side; the bottom depends on b alone
+        ctrl._landing_tau = 0.0
+        for arg in (math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0)):
+            ctrl._landing = (b, arg)
+            same(("arg", arg))
+    return sides
+
+
+@pytest.mark.parametrize("params", CYCLE_PARAMS, ids=range(len(CYCLE_PARAMS)))
+def test_held_targets_bitwise_at_edges(params):
+    # CYCLE_PARAMS' paper-literal hopper clamps the desired length to the stops
+    for v_body in (-2.0, -0.5, 0.0, 0.3):
+        for sides in check_held_targets(params, 0.4, v_body):
+            assert sides == {True, False}
+
+
+@given(
+    m=st.floats(2.0, 10.0),
+    m_e=st.floats(0.2, 2.0),
+    k_s=st.floats(800.0, 4000.0),
+    C_amp=st.floats(0.03, 0.2),
+    C_max=st.floats(0.0, 0.5),
+    y_body=st.floats(0.05, 0.8),  # past both leg stops
+    v_body=st.floats(-4.0, 1.0),
+)
+def test_held_targets_bitwise_equal_to_legacy(m, m_e, k_s, C_amp, C_max, y_body, v_body):
+    params = HopperParams(m=m, m_e=m_e, k_s=k_s, C_amp=C_amp, C_max=C_max)
+    check_held_targets(params, y_body, v_body)
 
 
 # --- leg kinematics -----------------------------------------------------------

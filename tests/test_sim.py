@@ -39,8 +39,9 @@ def advance(state, n_sub, dt, bundle, force_law=None):
     """``n_sub`` plant substeps under zero held torques (or a continuous
     ``force_law``) through the run loop's tick; returns the state and log."""
     log = sim.TelemetryLog()
+    held_law = sim._held_force_law(bundle.geometry)
     state = sim._advance_tick(
-        state, ZERO_TORQUE, force_law, dt, n_sub, bundle.params, bundle.geometry, log
+        state, ZERO_TORQUE, force_law, held_law, dt, n_sub, bundle.params, bundle.geometry, log
     )
     return state, log
 
@@ -386,14 +387,19 @@ class TestRun:
         forces, terms = [], []
         law_factory, leg_terms = sim._held_force_law, sim._leg_terms
 
-        def counting_factory(tau_h, tau_k, geo):
-            law = law_factory(tau_h, tau_k, geo)
+        def counting_factory(geo):
+            held = law_factory(geo)
 
-            def counting_law(y_rel):
-                forces.append(1)
-                return law(y_rel)
+            def counting_held(tau_h, tau_k):
+                law = held(tau_h, tau_k)
 
-            return counting_law
+                def counting_law(y_rel):
+                    forces.append(1)
+                    return law(y_rel)
+
+                return counting_law
+
+            return counting_held
 
         def counting_terms(y_rel, geo):
             terms.append(1)
@@ -408,6 +414,48 @@ class TestRun:
         assert setup.n_sub == round(2.5e-4 / dt)
         assert len(forces) == 1 + 4 * setup.n_sub * ticks + 5 * len(res.log.events)
         assert len(terms) == 1 + ticks
+
+    def test_held_ticks_call_no_trajectory_or_inverse_kinematics(
+        self, bundle_physical, monkeypatch
+    ):
+        # The controller computes its targets at the held touchdown clock once,
+        # and at each landing fit's bottom once per fit: a tick that holds
+        # either calls neither the trajectory nor the inverse kinematics.
+        calls = {"y_des": 0, "ik": 0}
+        held = {"clock": 0, "bottom": 0}
+        y_des, ik = analytic.TrajectoryCycle.y_des, kinematics.inverse_kinematics
+        command = control.ForceController.command
+
+        def counting_y_des(cycle, t):
+            calls["y_des"] += 1
+            return y_des(cycle, t)
+
+        def counting_ik(y, geo):
+            calls["ik"] += 1
+            return ik(y, geo)
+
+        def counting_command(ctrl, state):
+            if ctrl._landing is None:
+                hold = "clock" if ctrl.t_traj == ctrl.cycle.touchdown_time else None
+            else:
+                arg = ctrl._omega * ctrl._landing_tau + ctrl._landing[1]
+                hold = "bottom" if arg >= math.pi else None
+            before = dict(calls)
+            cmd = command(ctrl, state)
+            if hold is not None:
+                held[hold] += 1
+                assert calls == before, hold
+            return cmd
+
+        monkeypatch.setattr(analytic.TrajectoryCycle, "y_des", counting_y_des)
+        monkeypatch.setattr(kinematics, "inverse_kinematics", counting_ik)
+        monkeypatch.setattr(control.ForceController, "command", counting_command)
+        res = sim.run(RunSetup(bundle=bundle_physical, controller="force", hops=10))
+        assert res.ok and len(res.log.records) == 8339
+        assert held == {"clock": 2440, "bottom": 233}
+        # 8339 commands: the held ticks call neither; one IK for the held
+        # clock's targets and one per landing fit's bottom (10) come on top
+        assert calls == {"y_des": 3828, "ik": 8339 - 2440 - 233 + 1 + 10}
 
     def test_unreachable_trajectory_aborts_with_partial_log(self, paper_literal):
         from hopsim import model

@@ -69,6 +69,9 @@ def test_traced_child_counts_plant_calls(tmp_path, preset, flags, reference):
         assert spans.get(name, [0])[0] > 0, name
     # one trajectory cycle per run: the controller's
     assert spans["analytic.cycle_build"][0] == spans["sim.run"][0] == 1
+    if preset == "physical-force":
+        # the ticks that hold the touchdown clock or a fit's bottom read no trajectory
+        assert spans["analytic.y_des"][0] < spans["control.command"][0]
     # run.csv is streamed from one to_csv call into the wrapped writer
     assert spans["cli.to_csv"][0] == spans["sim.run"][0]
     if reference is not None:
