@@ -121,13 +121,14 @@ class _TrajectoryController:
 
     A detected touchdown enters a landing segment instead of replaying the
     canonical descent: the desired leg length follows the spring response
-    fitted to the actual touchdown state (same stance frequency, amplitude
-    and phase from the measured length and rate) and holds its bottom
-    (``_bottom``, computed with the fit).  A mismatched canonical descent
-    would command a faster drop than the actual fall and yank the foot off
-    the ground.  Once the measured leg stops compressing, the clock rejoins
-    the canonical ascent at the phase matching the actual leg length, so the
-    push always starts from the depth actually reached.
+    fitted to the actual touchdown state (same stance frequency, amplitude and
+    phase from the measured length and rate) and holds its bottom (``_bottom``,
+    computed with the fit).  A mismatched canonical descent would command a
+    faster drop than the actual fall and yank the foot off the ground.  Once
+    the measured leg stops compressing, the clock rejoins the canonical ascent
+    at the phase matching the actual leg length, so the push always starts from
+    the depth actually reached; the rejoin clears the segment, which the next
+    landing sets anew before any target reads it.
     """
 
     force_law = None  # the plant holds this controller's torques over a tick
@@ -153,9 +154,10 @@ class _TrajectoryController:
         ratio = min(1.0, max(-1.0, (p.y_s_neu - y_rel) / amp))
         return math.acos(ratio) / self._omega
 
-    def advance(self, dt: float, state, touchdown) -> None:
+    def advance(self, dt: float, state, touchdown) -> bool:
         """Move the clock over a tick that ended in ``state``, first fitting the
-        descent to ``touchdown``, the tick's last landing (foot at rest at 0)."""
+        descent to ``touchdown``, the tick's last landing (foot at rest at 0);
+        True if the clock rejoined the ascent (and cleared the segment)."""
         if touchdown is not None:
             w, y_s_neu = self._omega, self.cycle.params.y_s_neu
             dy, v_td = touchdown.y_body - y_s_neu, touchdown.v_body
@@ -171,13 +173,14 @@ class _TrajectoryController:
             if phase is HopPhase.STANCE and self._compressed and v_rel >= 0.0:
                 self.t_traj = min(self._ascent_phase_for_length(y_rel), self.cycle.t_lo)
                 self._landing = self._bottom = None
-            else:
-                self._landing_tau += dt
-            return
-        if phase is HopPhase.FLIGHT:
+                self._landing_tau, self._compressed = 0.0, False
+                return True
+            self._landing_tau += dt
+        elif phase is HopPhase.FLIGHT:
             self.t_traj = min(self.t_traj + dt, self.cycle.touchdown_time)
         else:
             self.t_traj = (self.t_traj + dt) % self.cycle.period
+        return False
 
     def joint_targets(self) -> tuple[float, float, float, float, bool]:
         """Desired (theta_hip, theta_knee, thetad_hip, thetad_knee, clamped)."""
@@ -270,8 +273,8 @@ class VirtualSpringController:
         p = self.params
         return p.k_s * (p.y_s_neu - y_rel) + p.m * p.g
 
-    def advance(self, dt: float, state, touchdown) -> None:
-        pass
+    def advance(self, dt: float, state, touchdown) -> bool:
+        return False
 
     def command(self, state) -> JointCommands:
         force = self.force_law(state.y_body - state.y_foot)

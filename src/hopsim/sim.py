@@ -29,15 +29,16 @@ operation, so telemetry is byte-identical to evaluating every configuration
 each time it is needed.
 
 Nothing in a tick reads the time ``t``, so a run whose whole state repeats
-repeats its ticks.  At the first tick after each landing :func:`run` keys
-the state (:func:`_cycle_key`: phase, the bits of the four positions and
-rates, every controller attribute, the IK-clamp count).  When a key comes
-back, each later tick of the same loop copies the next record of the cycle
-since its first sighting at the new time.  It reruns the plant only if its
-cycle tick had events, and otherwise adds ``dt_sub`` ``n_sub`` times, so
-event times and the clock come out as computed.  The position controller
-reaches such an orbit: its leg rests on the plastic fold stop once per
-hop, which erases the state.
+repeats its ticks.  At the first tick after each landing, and after each rejoin
+of the trajectory clock to the ascent, :func:`run` keys the state
+(:func:`_cycle_key`: phase, the bits of the four positions and rates, every
+controller attribute, the IK-clamp count).  When a key comes back, each later
+tick of the same loop copies the next record of the cycle since its first
+sighting at the new time.  It reruns the plant only if its cycle tick had
+events, and otherwise adds ``dt_sub`` ``n_sub`` times, so event times and the
+clock come out as computed.  The position controller reaches such an orbit: its
+leg rests on the plastic fold stop once per hop, which erases the state, and
+its clock rejoins the ascent there.
 
 :meth:`TelemetryLog.to_csv` streams the log as CSV text in one process.  A
 replayed run's log knows its cycle (:attr:`TelemetryLog.cycle`), so each
@@ -443,14 +444,14 @@ def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
 def run(setup: RunSetup) -> RunResult:
     """Run the control loop at a fixed rate and return the telemetry log.
 
-    Each computed tick: controller command, telemetry record, plant
-    substeps with transition checks, landing count, trajectory clock
-    advance.  Once the state after a landing repeats, every later tick
-    copies the next row of the cycle since (see the module docstring) and
-    moves the clock as the plant would.  The run is seed-free and
-    deterministic: the same setup produces a bitwise-identical log.  Aborts
-    (non-finite state, too many unreachable-trajectory ticks, a missed hop
-    target) return a partial log whose ``failure`` field carries the reason.
+    Each computed tick: controller command, telemetry record, plant substeps
+    with transition checks, landing count, trajectory clock advance.  Once the
+    state after a landing or a rejoin repeats, every later tick copies the next
+    row of the cycle since (see the module docstring) and moves the clock as
+    the plant would.  The run is seed-free and deterministic: the same setup
+    produces a bitwise-identical log.  Aborts (non-finite state, too many
+    unreachable-trajectory ticks, a missed hop target) return a partial log
+    whose ``failure`` field carries the reason.
     """
     p, geo = setup.bundle.params, setup.bundle.geometry
     period, n_sub, dt_sub = 1.0 / setup.control_rate, setup.n_sub, setup.dt_sub
@@ -464,8 +465,8 @@ def run(setup: RunSetup) -> RunResult:
     t = state.t
     ik_failures = 0
     landings = 0
-    touchdown = None  # the last tick's last landing
-    cycle_starts: dict[str, int] = {}  # key after a landing -> first tick with it
+    touchdown = rejoined = None  # the last tick's last landing, and its clock's rejoin
+    cycle_starts: dict[str, int] = {}  # key after a landing or rejoin -> first tick with it
     event_ticks = {}  # tick that had events -> its start state and command
     i = None  # the cycle row the next tick copies, once the state has repeated
 
@@ -487,12 +488,11 @@ def run(setup: RunSetup) -> RunResult:
                     t += dt_sub
             i = i + 1 if i + 1 < stop else start
             continue
-        if touchdown is not None:
+        if touchdown is not None or rejoined:
             tick = len(records)
             start = cycle_starts.setdefault(_cycle_key(state, controller, ik_failures), tick)
             if start < tick:  # ticks start:tick repeat from here on
-                i, stop = start, tick
-                log.cycle = (start, stop)
+                i, stop = log.cycle = start, tick
                 continue
         cmd = controller.command(state)
         records.append(_record_from(state, cmd))
@@ -517,9 +517,9 @@ def run(setup: RunSetup) -> RunResult:
                     landings += 1
                     touchdown = event
         state, t = end, end.t
-        if not (math.isfinite(state.y_body) and abs(state.y_body) < 1e6):
+        if not abs(state.y_body) < 1e6:  # the plant raised on a non-finite state
             return abort(f"state diverged at t={state.t:.6f}")
-        controller.advance(period, state, touchdown)
+        rejoined = controller.advance(period, state, touchdown)
 
     # the closing record: the last state's command, or the cycle's next row
     records.append(
@@ -534,12 +534,12 @@ def run(setup: RunSetup) -> RunResult:
 def _cycle_key(state: SimState, controller, ik_failures: int) -> str:
     """All that the rest of a run reads, at the start of a tick, but the time.
 
-    That is the phase, the bits of the four positions and rates (``repr``
-    tells -0.0 from 0.0; the joint state and leg terms are functions of
-    them), every attribute of the controller (its trajectory clock, landing
-    fit and the targets held at the touchdown clock and the fit's bottom)
-    and the count of IK-clamped ticks.  Nothing in the dynamics reads ``t``,
-    so two ticks with one key begin the same future.
+    That is the phase, the bits of the four positions and rates (``repr`` tells
+    -0.0 from 0.0; the joint state and leg terms are functions of them), every
+    attribute of the controller (its trajectory clock, landing fit, cleared at
+    a rejoin, and the targets held at the touchdown clock and the fit's bottom)
+    and the count of IK-clamped ticks.  Nothing in the dynamics reads ``t``, so
+    two ticks with one key begin the same future.
     """
     return repr((
         state.phase, state.y_body, state.v_body, state.y_foot, state.v_foot,
@@ -553,19 +553,21 @@ def _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log) -
     Held torques map to the task force through ``held_law``, the run's
     :func:`_held_force_law`; a continuous ``force_law`` (not None) replaces
     it.  Each substep is one RK4 step of the active phase from the force at
-    its start state, then the leg stops.  Each phase then tests its event, located by linear
-    interpolation within the substep.  In stance, lift-off fires when the
-    pin force (foot weight + task force) ends the substep nonpositive: at its
-    zero crossing from a positive start, at once from a nonpositive one.  In
+    its start state, then the leg stops.  Each phase then tests its event,
+    located by linear interpolation within the substep.  In stance, lift-off
+    fires when the pin force (foot weight + task force) ends the substep
+    nonpositive: at its zero crossing from a positive start, else at once.  In
     flight, landing fires when the foot crosses ``CONTACT_EPSILON`` from
-    above with a downward interpolated velocity, or at once when a foot at or
-    below it is driven down (a lift that was immediately reversed).  The two
-    cannot fire in the same phase: if a re-pinned foot is pulled at once, the
-    landing wins and the lift follows one substep later.  An event is
-    appended to ``log.events`` and the rest of the substep is integrated in
-    the new phase.  ``1/m``, ``1/m_e`` and ``g`` are bound once per tick.
-    Returns the end state with its leg terms (the tick's one
-    :func:`_leg_terms` call), which give the next tick's first held force.
+    above with a downward interpolated velocity, or, from any other start, at
+    once when the foot is driven down (a lift that was immediately reversed).
+    A NaN in a substep's start state or force makes its end state NaN, which
+    raises ``non-finite state`` before these tests.  The two cannot fire in
+    the same phase: if a re-pinned foot is pulled at once, the landing wins
+    and the lift follows one substep later.  An event is appended to
+    ``log.events`` and the rest of the substep is integrated in the new
+    phase.  ``1/m``, ``1/m_e`` and ``g`` are bound once per tick.  Returns
+    the end state with its leg terms (the tick's one :func:`_leg_terms`
+    call), which give the next tick's first held force.
     """
     tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
     law = held_law(tau_h, tau_k) if force_law is None else force_law
@@ -598,31 +600,25 @@ def _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log) -
             if events_seen < _MAX_EVENTS_PER_STEP:
                 if phase is STANCE:
                     pin = weight_e + nf  # the pin force at the substep's end
-                    if pin <= 0.0:
+                    if pin <= 0.0:  # at its zero crossing, or at once if never positive
                         prev = weight_e + f
-                        if prev > 0.0:
-                            kind, frac = "lift", prev / (prev - pin)
-                        elif prev <= 0.0:  # nonpositive at both ends: unpin at once
-                            kind, frac = "lift", 0.0
-                        if kind is not None:
-                            phase = HopPhase.FLIGHT
-                            yf, vf = yf + frac * (nyf - yf), vf + frac * (nvf - vf)
+                        kind, phase = "lift", HopPhase.FLIGHT
+                        frac = prev / (prev - pin) if prev > 0.0 else 0.0
                 elif yf > CONTACT_EPSILON:
                     if nyf <= CONTACT_EPSILON:
                         frac = yf / (yf - nyf) if yf != nyf else 0.0
                         if vf + frac * (nvf - vf) < 0.0:
                             kind, phase, yf, vf = "landing", STANCE, 0.0, 0.0
-                elif yf <= CONTACT_EPSILON and nvf < 0.0:  # at contact and driven down
+                elif nvf < 0.0:  # at contact and driven down
                     kind, frac, phase, yf, vf = "landing", 0.0, STANCE, 0.0, 0.0
             if kind is None:
                 yb, vb, yf, vf, f = nyb, nvb, nyf, nvf, nf
                 t += dt_left
                 break
-            # Interpolate the body to the event, whose branch has switched the
-            # phase and set the foot (a landing's to rest: plastic contact),
-            # and integrate the rest of the substep in the new phase.  A
-            # chattering contact is capped per substep; the rest is then
-            # integrated without further event checks.
+            # Interpolate the body to the event (its branch has switched the
+            # phase and put a landing's foot at rest: plastic contact) and
+            # integrate the rest of the substep in the new phase.  A chattering
+            # contact is capped per substep; the rest then has no event checks.
             events_seen += 1
             t_ev = t + frac * dt_left
             yb, vb = yb + frac * (nyb - yb), vb + frac * (nvb - vb)

@@ -529,6 +529,42 @@ class TestNonFiniteState:
         with pytest.raises(SimulationAbort, match=r"^non-finite state at t=0\.000250$"):
             advance(state, 4, 2.5e-4, bundle_physical, force_law=lambda y: math.nan)
 
+    @pytest.mark.parametrize("phase", [HopPhase.STANCE, HopPhase.FLIGHT])
+    @pytest.mark.parametrize("field", ["y_body", "v_body", "y_foot", "v_foot", "terms"])
+    def test_nan_start_state_raises_before_the_event_test(self, bundle_physical, phase, field):
+        # A NaN anywhere in a tick's start state, or in the leg terms that give
+        # its first force, makes the first substep's end state NaN, so the tick
+        # raises before it evaluates the end force that each event test reads.
+        # No NaN reaches a test, so the lift's "else at once" and the re-pin's
+        # "from any other start" need no NaN guard.
+        b = bundle_physical
+        y_foot = 0.45 if phase is HopPhase.FLIGHT else 0.0
+        state = make_state(phase, 0.45 + y_foot, 0.0, y_foot, 0.0)
+        if field == "terms":
+            state = dataclasses.replace(state, terms=(state.joints.theta_knee, math.nan, math.nan))
+        else:
+            state = dataclasses.replace(state, **{field: math.nan})
+        forces = []
+        held = sim._held_force_law(b.geometry)
+
+        def counting_held(tau_h, tau_k):
+            law = held(tau_h, tau_k)
+
+            def counting(y_rel):
+                forces.append(y_rel)
+                return law(y_rel)
+
+            return counting
+
+        log = sim.TelemetryLog()
+        with pytest.raises(SimulationAbort, match=r"^non-finite state at t=0\.000250$"):
+            sim._advance_tick(
+                state, ZERO_TORQUE, None, counting_held, 2.5e-4, 4, b.params, b.geometry, log
+            )
+        assert not log.events
+        # the start force (unless the terms give it) and RK4 stages 2-4: no end force
+        assert len(forces) == (3 if field == "terms" else 4)
+
 
 SATURATION_PAIRS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 0.0), (-1.0, -0.0),
                     (math.nan, 0.0), (3.0, 4.0), (-3.0, 4.0), (1.0, math.nan)]
@@ -646,6 +682,56 @@ class TestCycleReplay:
         assert sim._cycle_key(dataclasses.replace(state, v_body=-0.0), c, 0) != key
         assert sim._cycle_key(state, c, 1) != key
 
+    @pytest.mark.parametrize("controller", ["force", "position"])
+    def test_rejoin_clears_the_landing_segment(self, bundle_physical, monkeypatch, controller):
+        # advance returns True exactly when the clock leaves a landing segment,
+        # and the controller then holds none of the segment's values
+        rejoins = []
+        inner = control._TrajectoryController.advance
+
+        def watching(ctrl, dt, state, touchdown):
+            in_segment = touchdown is not None or ctrl._landing is not None
+            rejoined = inner(ctrl, dt, state, touchdown)
+            assert rejoined is (in_segment and ctrl._landing is None)
+            if rejoined:
+                rejoins.append((ctrl._landing, ctrl._bottom, ctrl._landing_tau, ctrl._compressed))
+            return rejoined
+
+        monkeypatch.setattr(control._TrajectoryController, "advance", watching)
+        setup = RunSetup(bundle=bundle_physical, controller=controller, hops=10)
+        assert sim.run(setup).ok
+        # a landing inside a segment refits it (the force run's touchdown
+        # bounces), so the force run rejoins 5 times in 10 landings; the
+        # position run rejoins at ticks 3192 and 4015, then replays
+        assert len(rejoins) == (5 if controller == "force" else 2)
+        for landing, bottom, tau, compressed in rejoins:
+            assert landing is bottom is None and tau == 0.0 and compressed is False
+
+    def test_rejoins_from_equal_states_key_equal(self, bundle_physical):
+        # Two controllers with different clocks, landing fits and times in
+        # their landing segments key equal once both rejoin the ascent from
+        # one plant state; before the rejoin, their segments differ.
+        setup = RunSetup(bundle=bundle_physical, controller="position", duration=1.0)
+        geo, dt = bundle_physical.geometry, 2.5e-4
+        y = setup.cycle.params.y_s_neu
+        compressing = make_state(HopPhase.STANCE, y - 0.01, -0.5, 0.0, 0.0)
+        at_rest = make_state(HopPhase.STANCE, geo.constants.y_lo, 0.0, 0.0, 0.0)
+        ctrls = []
+        for v_td, ticks in ((-1.2, 3), (-0.8, 7)):
+            c = sim.CONTROLLERS["position"](setup)
+            c.t_traj = ticks * dt
+            assert c.advance(dt, compressing, sim.Event("landing", 0.0, y, v_td)) is False
+            for _ in range(ticks):
+                assert c.advance(dt, compressing, None) is False
+            ctrls.append(c)
+        assert ctrls[0]._landing_tau != ctrls[1]._landing_tau
+        assert ctrls[0]._landing != ctrls[1]._landing
+        keys = []
+        for c in ctrls:
+            assert c.advance(dt, at_rest, None) is True
+            keys.append(sim._cycle_key(at_rest, c, 0))
+        assert keys[0] == keys[1]
+
     @pytest.mark.parametrize(("controller", "replayed"), [("position", True), ("force", False)])
     def test_position_orbit_replays_and_force_runs_do_not(
         self, bundle_physical, monkeypatch, controller, replayed
@@ -655,9 +741,26 @@ class TestCycleReplay:
         ticks = len(res.log.records) - 1
         assert res.ok and ticks == 12000
         if replayed:
-            assert plant_calls < ticks / 2
+            # the orbit repeats from the rejoin at tick 3192; 4015 computed
+            # ticks and 19 reruns of the cycle's event ticks
+            assert res.log.cycle == (3192, 4015) and plant_calls == 4034
         else:
+            assert res.log.cycle is None
             assert plant_calls == ticks
+
+    @pytest.mark.parametrize(
+        ("scale", "cycle"),
+        [(0.97, (3222, 4044)), (0.985, (3207, 4029)), (1.015, (3178, 4001)),
+         (1.03, (3164, 3988))],
+    )
+    def test_scaled_orbits_replay_from_their_first_rejoin(self, physical, scale, cycle):
+        # With k_s and C_amp scaled, each orbit is found at the rejoin from
+        # which it first repeats, not at the landing after that rejoin.
+        from hopsim import model
+
+        p = dataclasses.replace(physical, k_s=physical.k_s * scale, C_amp=physical.C_amp * scale)
+        res = sim.run(RunSetup(bundle=model.validate(p), controller="position", duration=3.0))
+        assert res.ok and res.log.cycle == cycle
 
     def test_hop_target_missed_inside_the_replay(self, bundle_physical, monkeypatch):
         # The duration guard stops a replayed run short of its hop target:
@@ -667,7 +770,7 @@ class TestCycleReplay:
         res, plant_calls = counted_run(setup, monkeypatch)
         ref, _ = unreplayed_run(setup, monkeypatch)
         assert res.status == "aborted: hop target not reached (8 of 50 landings by t=2.000000)"
-        assert res.log.cycle == (3893, 4716) and len(res.log.records) == 8001
+        assert res.log.cycle == (3192, 4015) and len(res.log.records) == 8001
         assert log_bits(res) == log_bits(ref)
         assert plant_calls < len(res.log.records) - 1  # the replay ran
 
