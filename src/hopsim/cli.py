@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, get_args, get_type_hints
 
 from . import metrics, model, sim, svg
-from .errors import ConfigError, HopsimError, ParameterError
+from .errors import ConfigError, HopsimError
 from .model import Gains, HopperParams, LegGeometry, MotorParams
 
 EXIT_OK = 0
@@ -69,30 +69,22 @@ class RunConfig:
             blocks.append("\n".join(lines) + "\n")
         return "\n".join(blocks)
 
-    def validated(self) -> model.ValidatedBundle:
-        """Validate the physics; a violated invariant becomes a ConfigError."""
-        try:
-            return model.validate(
-                self.params, self.motor, self.gains or Gains(), self.geometry
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-
     def resolve(self) -> sim.RunSetup:
-        """Validate and build the simulation setup; applies the default hop
-        count when neither duration nor hop count was specified."""
-        bundle = self.validated()
+        """Validate the physics and build the simulation setup; applies the
+        default hop count when neither duration nor hop count was specified.
+        A violated invariant, a bad run knob or a cycle that does not build
+        becomes a ConfigError."""
         hops = 3 if self.duration is None and self.hops is None else self.hops
         try:
             return sim.RunSetup(
-                bundle=bundle,
+                bundle=model.validate(self.params, self.motor, self.gains or Gains(), self.geometry),
                 controller=self.controller,
                 duration=self.duration,
                 hops=hops,
                 dt=self.dt,
                 control_rate=self.control_rate,
             )
-        except ValueError as exc:  # a run knob or the closed-form cycle
+        except ValueError as exc:  # ParameterError, a run knob or the closed-form cycle
             raise ConfigError(str(exc)) from exc
 
 

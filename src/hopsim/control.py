@@ -87,13 +87,14 @@ def make_command(tau_dyn: float, thetad_act: float, motor: MotorParams) -> Torqu
 
 
 def clamp_joints(
-    tau_hip: float, tau_knee: float, joints, motor: MotorParams, ik_clamped: bool = False
+    tau_hip: float, tau_knee: float, state, motor: MotorParams, ik_clamped: bool = False
 ) -> JointCommands:
-    """Both joints' raw torques through the envelope clamp, at the speeds
-    of ``joints``; every controller's command ends here."""
+    """Both joints' raw torques through the envelope clamp, at the joint
+    speeds ``thetad_hip`` and ``thetad_knee`` of ``state``; every
+    controller's command ends here."""
     return _new_command(JointCommands, (
-        make_command(tau_hip, joints.thetad_hip, motor),
-        make_command(tau_knee, joints.thetad_knee, motor),
+        make_command(tau_hip, state.thetad_hip, motor),
+        make_command(tau_knee, state.thetad_knee, motor),
         ik_clamped,
     ))
 
@@ -216,10 +217,10 @@ class ForceController(_TrajectoryController):
 
     def command(self, state) -> JointCommands:
         th_h, th_k, _, _, clamped = self.joint_targets()
-        js, k_p, k_d = state.joints, self.gains.k_p, self.gains.k_d
-        tau_h = -k_p * (js.theta_hip - th_h) - k_d * js.thetad_hip  # pd_torque, inline
-        tau_k = -k_p * (js.theta_knee - th_k) - k_d * js.thetad_knee
-        return clamp_joints(tau_h, tau_k, js, self.motor, clamped)
+        k_p, k_d = self.gains.k_p, self.gains.k_d
+        tau_h = -k_p * (state.theta_hip - th_h) - k_d * state.thetad_hip  # pd_torque, inline
+        tau_k = -k_p * (state.theta_knee - th_k) - k_d * state.thetad_knee
+        return clamp_joints(tau_h, tau_k, state, self.motor, clamped)
 
 
 class PositionController(_TrajectoryController):
@@ -231,11 +232,10 @@ class PositionController(_TrajectoryController):
 
     def command(self, state) -> JointCommands:
         th_h, th_k, thd_h, thd_k, clamped = self.joint_targets()
-        js = state.joints
         k_p, k_d = self.gains.k_p, self.gains.k_d
-        tau_h = k_p * (th_h - js.theta_hip) + k_d * (thd_h - js.thetad_hip)
-        tau_k = k_p * (th_k - js.theta_knee) + k_d * (thd_k - js.thetad_knee)
-        return clamp_joints(tau_h, tau_k, js, self.motor, clamped)
+        tau_h = k_p * (th_h - state.theta_hip) + k_d * (thd_h - state.thetad_hip)
+        tau_k = k_p * (th_k - state.theta_knee) + k_d * (thd_k - state.thetad_knee)
+        return clamp_joints(tau_h, tau_k, state, self.motor, clamped)
 
 
 class VirtualSpringController:
@@ -278,8 +278,6 @@ class VirtualSpringController:
 
     def command(self, state) -> JointCommands:
         force = self.force_law(state.y_body - state.y_foot)
-        tau_k = kinematics.knee_torque_for_force(
-            force, state.joints.theta_knee, self.geometry
-        )
-        return clamp_joints(0.0, tau_k, state.joints, self.motor)
+        tau_k = kinematics.knee_torque_for_force(force, state.theta_knee, self.geometry)
+        return clamp_joints(0.0, tau_k, state, self.motor)
 

@@ -18,27 +18,31 @@ force law or builds one from the tick's held command (:func:`_held_force_law`),
 steps the plant and locates events.  The force at the state after a substep
 is that step's post-step pin force and the next substep's stage-1 force and
 pre-step pin force, so each leg configuration is evaluated once.  The leg
-terms are computed once per tick, at its end state: they give the joint
-state recorded for it and ride on the returned state into the next tick,
-whose first force differs only in the held torques.  The leg stops are
-called only when a substep leaves their interval, and each phase tests its
-one event where the substep is taken.  The plant's constants (``1/m``,
+terms are computed once per tick, at its end state (and once for the
+initial state): they give the joint angles and rates recorded for it and
+ride on the returned state into the next tick, whose first held force they
+give, as only the held torques differ.  The leg stops are called only when a
+substep leaves their interval, and each phase tests its one event where the
+substep is taken.  The plant's constants (``1/m``,
 ``1/m_e``, ``g``) are bound once per tick and passed to the RK4 steps, and
 the held law's geometry once per run.  None of this changes a floating-point
 operation, so telemetry is byte-identical to evaluating every configuration
 each time it is needed.
 
-Nothing in a tick reads the time ``t``, so a run whose whole state repeats
-repeats its ticks.  At the first tick after each landing, and after each rejoin
-of the trajectory clock to the ascent, :func:`run` keys the state
-(:func:`_cycle_key`: phase, the bits of the four positions and rates, every
-controller attribute, the IK-clamp count).  When a key comes back, each later
-tick of the same loop copies the next record of the cycle since its first
-sighting at the new time.  It reruns the plant only if its cycle tick had
-events, and otherwise adds ``dt_sub`` ``n_sub`` times, so event times and the
-clock come out as computed.  The position controller reaches such an orbit: its
-leg rests on the plastic fold stop once per hop, which erases the state, and
-its clock rejoins the ascent there.
+A :class:`SimState` is the leg's configuration and holds no time: :func:`run`
+owns the clock, passes it to :func:`_advance_tick` and gets the end time
+back, and no tick reads it but to stamp records and events.  So a run whose
+whole state repeats repeats its ticks.  At the first tick after each landing,
+and after each rejoin of the trajectory clock to the ascent, :func:`run` keys
+the state (:func:`_cycle_key`: the plant state's bits, every controller
+attribute, the IK-clamp count).  When a key comes back, each later tick of
+the same loop copies the next record of the cycle since its first sighting
+at the new time.  It reruns the plant from the cycle tick's start state at
+the new time only if that tick had events, and otherwise adds ``dt_sub``
+``n_sub`` times, so event times and the clock come out as computed.  The
+position controller reaches such an orbit: its leg rests on the plastic fold
+stop once per hop, which erases the state, and its clock rejoins the ascent
+there.
 
 :meth:`TelemetryLog.to_csv` streams the log as CSV text in one process.  A
 replayed run's log knows its cycle (:attr:`TelemetryLog.cycle`), so each
@@ -54,7 +58,7 @@ period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
@@ -182,14 +186,23 @@ class TelemetryLog:
 
 @dataclass(slots=True)
 class SimState:
-    t: float
+    """The leg's configuration at a tick boundary, and nothing else.
+
+    The phase and the four positions and rates, then the aligned leg's joint
+    angles and rates and its leg terms (:func:`_leg_terms`), both functions
+    of the four floats.  It holds no time: :func:`run` owns the clock.
+    """
+
     phase: HopPhase
     y_body: float
     v_body: float
     y_foot: float
     v_foot: float
-    joints: kinematics.JointState
-    terms: tuple | None = None  # leg terms at this state, if the plant evaluated them
+    theta_hip: float
+    theta_knee: float
+    thetad_hip: float
+    thetad_knee: float
+    terms: tuple  # (theta_knee, dy_dknee, dhip_dknee) at the leg length y_body - y_foot
 
 
 def _end_time(setup: RunSetup) -> float:
@@ -313,18 +326,11 @@ def _held_force_law(geo: LegGeometry) -> Callable[[float, float], Callable[[floa
     return held
 
 
-def _joints_from(terms, v_rel: float, geo: LegGeometry) -> kinematics.JointState:
-    """Joint angles and rates of the aligned leg from its leg terms."""
+def _joints_from(terms, v_rel: float, geo: LegGeometry) -> tuple[float, float, float, float]:
+    """(theta_hip, theta_knee, thetad_hip, thetad_knee) of the aligned leg from its leg terms."""
     theta_k, dy_dknee, dhip_dknee = terms
     thetad_k = v_rel / dy_dknee if dy_dknee != 0.0 else 0.0
-    return kinematics.JointState(
-        kinematics.hip_alignment_angle(theta_k, geo), theta_k, dhip_dknee * thetad_k, thetad_k
-    )
-
-
-def joint_state_for(y_rel: float, v_rel: float, geo: LegGeometry) -> kinematics.JointState:
-    """Joint angles and rates of the aligned leg at the given length/rate."""
-    return _joints_from(_leg_terms(y_rel, geo), v_rel, geo)
+    return kinematics.hip_alignment_angle(theta_k, geo), theta_k, dhip_dknee * thetad_k, thetad_k
 
 
 def _apply_leg_stops(phase, yb, vb, yf, vf, p: HopperParams, geo: LegGeometry):
@@ -415,26 +421,18 @@ def initial_state(setup: RunSetup) -> SimState:
     """Pinned stance state at the trajectory start posture, at rest."""
     geo = setup.bundle.geometry
     y0 = min(max(setup.cycle.y_des(0.0), geo.constants.y_lo), geo.constants.y_hi)
-    return SimState(
-        t=0.0,
-        phase=HopPhase.STANCE,
-        y_body=y0,
-        v_body=0.0,
-        y_foot=0.0,
-        v_foot=0.0,
-        joints=joint_state_for(y0, 0.0, geo),
-    )
+    terms = _leg_terms(y0, geo)
+    return SimState(HopPhase.STANCE, y0, 0.0, 0.0, 0.0, *_joints_from(terms, 0.0, geo), terms)
 
 
-def _record_from(state: SimState, cmd: control.JointCommands) -> Record:
-    js = state.joints
+def _record_from(t: float, state: SimState, cmd: control.JointCommands) -> Record:
     hip_dyn, hip_sat, hip_des = cmd.hip
     knee_dyn, knee_sat, knee_des = cmd.knee
     # Record's fields in order; the last two are metrics.saturation_ratio, inline
     return _new_record(Record, (
-        state.t, state.phase._value_,  # the member's value, without Enum's property
+        t, state.phase._value_,  # the member's value, without Enum's property
         state.y_body, state.v_body, state.y_foot, state.v_foot,
-        js.theta_hip, js.theta_knee, js.thetad_hip, js.thetad_knee,
+        state.theta_hip, state.theta_knee, state.thetad_hip, state.thetad_knee,
         hip_dyn, knee_dyn, hip_des, knee_des, hip_sat, knee_sat,
         abs(hip_des) / abs(hip_sat) if hip_sat != 0.0 else 1.0 if hip_des == 0.0 else math.inf,
         abs(knee_des) / abs(knee_sat) if knee_sat != 0.0 else 1.0 if knee_des == 0.0 else math.inf,
@@ -448,10 +446,11 @@ def run(setup: RunSetup) -> RunResult:
     with transition checks, landing count, trajectory clock advance.  Once the
     state after a landing or a rejoin repeats, every later tick copies the next
     row of the cycle since (see the module docstring) and moves the clock as
-    the plant would.  The run is seed-free and deterministic: the same setup
-    produces a bitwise-identical log.  Aborts (non-finite state, too many
-    unreachable-trajectory ticks, a missed hop target) return a partial log
-    whose ``failure`` field carries the reason.
+    the plant would.  The run keeps the clock ``t``: the plant takes it with
+    each state and returns the end time.  The run is seed-free and
+    deterministic: the same setup produces a bitwise-identical log.  Aborts
+    (non-finite state, too many unreachable-trajectory ticks, a missed hop
+    target) return a partial log whose ``failure`` field carries the reason.
     """
     p, geo = setup.bundle.params, setup.bundle.geometry
     period, n_sub, dt_sub = 1.0 / setup.control_rate, setup.n_sub, setup.dt_sub
@@ -461,8 +460,7 @@ def run(setup: RunSetup) -> RunResult:
 
     log = TelemetryLog()
     records, events = log.records, log.events
-    state = initial_state(setup)
-    t = state.t
+    state, t = initial_state(setup), 0.0
     ik_failures = 0
     landings = 0
     touchdown = rejoined = None  # the last tick's last landing, and its clock's rejoin
@@ -480,8 +478,7 @@ def run(setup: RunSetup) -> RunResult:
             if i in event_ticks:  # rerun the plant, so event times come out as computed
                 begin, cmd = event_ticks[i]
                 seen = len(events)
-                begin = replace(begin, t=t)
-                t = _advance_tick(begin, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log).t
+                t = _advance_tick(begin, t, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log)[1]
                 landings += sum(event.kind == "landing" for event in events[seen:])
             else:  # the clock as the plant moves it
                 for _ in range(n_sub):
@@ -495,7 +492,7 @@ def run(setup: RunSetup) -> RunResult:
                 i, stop = log.cycle = start, tick
                 continue
         cmd = controller.command(state)
-        records.append(_record_from(state, cmd))
+        records.append(_record_from(t, state, cmd))
         if cmd.ik_clamped:
             ik_failures += 1
             if ik_failures > MAX_IK_FAILURES:
@@ -506,7 +503,7 @@ def run(setup: RunSetup) -> RunResult:
 
         seen = len(events)
         try:
-            end = _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log)
+            end, t = _advance_tick(state, t, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log)
         except SimulationAbort as exc:
             return abort(str(exc))
         touchdown = None  # the tick's last landing
@@ -516,14 +513,14 @@ def run(setup: RunSetup) -> RunResult:
                 if event.kind == "landing":
                     landings += 1
                     touchdown = event
-        state, t = end, end.t
+        state = end
         if not abs(state.y_body) < 1e6:  # the plant raised on a non-finite state
-            return abort(f"state diverged at t={state.t:.6f}")
+            return abort(f"state diverged at t={t:.6f}")
         rejoined = controller.advance(period, state, touchdown)
 
     # the closing record: the last state's command, or the cycle's next row
     records.append(
-        _record_from(state, controller.command(state)) if i is None
+        _record_from(t, state, controller.command(state)) if i is None
         else _new_record(Record, (t, *records[i][1:]))
     )
     if hops is not None and landings < hops:
@@ -534,20 +531,18 @@ def run(setup: RunSetup) -> RunResult:
 def _cycle_key(state: SimState, controller, ik_failures: int) -> str:
     """All that the rest of a run reads, at the start of a tick, but the time.
 
-    That is the phase, the bits of the four positions and rates (``repr`` tells
-    -0.0 from 0.0; the joint state and leg terms are functions of them), every
-    attribute of the controller (its trajectory clock, landing fit, cleared at
-    a rejoin, and the targets held at the touchdown clock and the fit's bottom)
-    and the count of IK-clamped ticks.  Nothing in the dynamics reads ``t``, so
-    two ticks with one key begin the same future.
+    That is the plant state (its phase and the bits of its floats: ``repr``
+    tells -0.0 from 0.0; its joint fields and leg terms are functions of the
+    four positions and rates, so they add no distinction), every attribute
+    of the controller (its trajectory clock, landing fit, cleared at a
+    rejoin, and the targets held at the touchdown clock and the fit's
+    bottom) and the count of IK-clamped ticks.  The state holds no time and
+    the plant reads none, so two ticks with one key begin the same future.
     """
-    return repr((
-        state.phase, state.y_body, state.v_body, state.y_foot, state.v_foot,
-        vars(controller), ik_failures,
-    ))
+    return repr((state, vars(controller), ik_failures))
 
 
-def _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log) -> SimState:
+def _advance_tick(state, t, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log):
     """Integrate one control tick of ``n_sub`` substeps under ``cmd``, held.
 
     Held torques map to the task force through ``held_law``, the run's
@@ -565,21 +560,23 @@ def _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log) -
     the same phase: if a re-pinned foot is pulled at once, the landing wins
     and the lift follows one substep later.  An event is appended to
     ``log.events`` and the rest of the substep is integrated in the new
-    phase.  ``1/m``, ``1/m_e`` and ``g`` are bound once per tick.  Returns
-    the end state with its leg terms (the tick's one :func:`_leg_terms`
-    call), which give the next tick's first held force.
+    phase.  ``1/m``, ``1/m_e`` and ``g`` are bound once per tick.  The first
+    held force comes from the leg terms of ``state``; a continuous law is
+    evaluated.  ``t`` is the tick's start time; only the abort message, the
+    event times and the end time read it.  Returns ``(end state, end
+    time)``; the end state carries its leg terms (the tick's one
+    :func:`_leg_terms` call), which give the next tick's first held force.
     """
     tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
     law = held_law(tau_h, tau_k) if force_law is None else force_law
-    terms = state.terms if force_law is None else None
 
-    t, phase = state.t, state.phase
+    phase, terms = state.phase, state.terms
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
     lo, hi = geo.constants.y_lo, geo.constants.y_hi
     inv_m, inv_me, g = 1.0 / p.m, 1.0 / p.m_e, p.g
     isfinite, STANCE = math.isfinite, HopPhase.STANCE
     weight_e = p.m_e * p.g  # stance pin force = foot weight + task force
-    f = (law(yb - yf) if terms is None
+    f = (law(yb - yf) if force_law is not None
          else 0.0 if terms[1] == 0.0 else (tau_k + tau_h * terms[2]) / terms[1])
 
     for _ in range(n_sub):
@@ -628,7 +625,7 @@ def _advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log) -
             f = law(yb - yf)
 
     terms = _leg_terms(yb - yf, geo)
-    return SimState(t, phase, yb, vb, yf, vf, _joints_from(terms, vb - vf, geo), terms)
+    return SimState(phase, yb, vb, yf, vf, *_joints_from(terms, vb - vf, geo), terms), t
 
 
 # --- two-mass model reference integration ----------------------------------

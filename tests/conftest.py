@@ -18,6 +18,14 @@ def reference_to_csv(log):
     return "\n".join(lines) + "\n"
 
 
+def make_state(phase, y_body, v_body, y_foot, v_foot, geo=LegGeometry()):
+    """A plant state as a tick leaves it: its joint fields and leg terms
+    from its positions and rates."""
+    terms = sim._leg_terms(y_body - y_foot, geo)
+    joints = sim._joints_from(terms, v_body - v_foot, geo)
+    return sim.SimState(phase, y_body, v_body, y_foot, v_foot, *joints, terms)
+
+
 def task_force(tau_hip, tau_knee, theta_knee, geo):
     """Vertical task-space force produced by the joint torques (no command
     reads it, so it lives with the tests).

@@ -138,6 +138,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exactly one of duration or hops"):
             RunConfig(duration=1.0, hops=2).resolve()
 
+    @pytest.mark.parametrize(
+        ("word", "value"),
+        [(w, True) for w in ("1", "true", "yes", "on")]
+        + [(w, False) for w in ("0", "false", "no", "off")],
+    )
+    def test_boolean_words_in_any_case(self, tmp_path, word, value):
+        for raw in (word, word.upper(), word.capitalize()):
+            assert cli._parse_bool(f" {raw}\t") is value
+            cfg = parse_config(write(tmp_path, f"[run]\npreset = physical-force\nplots = {raw}\n"))
+            assert cfg.plots is value
+
+    def test_bad_boolean_is_one_error_line(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[run]\npreset = physical-force\nplots = maybe\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: bad value for run.plots: 'maybe'"]
+        assert sorted(tmp_path.iterdir()) == [cfg]  # no file written
+
     def test_invariant_violation_from_validate(self, tmp_path):
         text = "[run]\npreset = physical-force\n[hopper]\nk_s = 0\n"
         cfg = parse_config(write(tmp_path, text))
@@ -210,7 +228,9 @@ def test_any_finite_hopper_builds_a_cycle_or_raises_hopsim_error(values, arbitra
     if arbitrary is not None:
         values[arbitrary[0]] = arbitrary[1]
     try:
-        bundle = RunConfig(params=model.HopperParams(**values)).validated()
+        bundle = model.validate(
+            model.HopperParams(**values), model.MotorParams(), model.Gains(), model.LegGeometry()
+        )
         cycle = analytic.TrajectoryCycle(bundle.params)
     except HopsimError:
         return

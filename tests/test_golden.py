@@ -39,7 +39,7 @@ from hopsim.kinematics import LegJacobian
 from hopsim.metrics import AorCurve, aor_curve
 from hopsim.model import HopperParams, LegGeometry, MotorParams
 
-from conftest import reference_to_csv, task_force
+from conftest import make_state, reference_to_csv, task_force
 
 SPRING_CONFIG = "[run]\npreset = physical-force\ncontroller = spring\n"
 
@@ -317,16 +317,17 @@ def legacy_crossing(phase, prev_pin, next_pin, prev_yf, next_yf, prev_vf, next_v
     return None
 
 
-def legacy_advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log):
+def legacy_advance_tick(state, t, cmd, force_law, held_law, dt_sub, n_sub, p, geo, log):
     """The plant tick as it called :func:`legacy_crossing`, behind a guard
     that repeated its conditions; kept verbatim as the oracle, with the
-    module's names qualified and the held law bound per run, as the plant's
-    is (``held_law`` is ``sim._held_force_law(geo)``)."""
+    module's names qualified, the held law bound per run, as the plant's
+    is (``held_law`` is ``sim._held_force_law(geo)``), and the clock taken
+    and returned beside the state, as the plant does."""
     tau_h, tau_k = cmd.hip.tau_des, cmd.knee.tau_des
     law = held_law(tau_h, tau_k) if force_law is None else force_law
     terms = state.terms if force_law is None else None
 
-    t, phase = state.t, state.phase
+    phase = state.phase
     yb, vb, yf, vf = state.y_body, state.v_body, state.y_foot, state.v_foot
     lo, hi = geo.constants.y_lo, geo.constants.y_hi
     inv_m, inv_me, g = 1.0 / p.m, 1.0 / p.m_e, p.g
@@ -380,7 +381,7 @@ def legacy_advance_tick(state, cmd, force_law, held_law, dt_sub, n_sub, p, geo, 
             f = law(yb - yf)
 
     terms = sim._leg_terms(yb - yf, geo)
-    return sim.SimState(t, phase, yb, vb, yf, vf, sim._joints_from(terms, vb - vf, geo), terms)
+    return sim.SimState(phase, yb, vb, yf, vf, *sim._joints_from(terms, vb - vf, geo), terms), t
 
 
 PHYSICAL = model.validate(model.physics_preset("physical"))
@@ -400,25 +401,38 @@ LAWS = st.none() | st.tuples(
 
 
 def tick_outcome(advance, state, cmd, law, dt, n_sub):
-    """The events and end state of one plant tick, every float as its bytes,
-    or the abort it raised."""
+    """The events, end state and end time of one plant tick from time 0,
+    every float as its bytes, or the abort it raised."""
     log = sim.TelemetryLog()
     try:
-        end = advance(
-            state, cmd, law, HELD_LAW, dt, n_sub, PHYSICAL.params, PHYSICAL.geometry, log
+        end, t = advance(
+            state, 0.0, cmd, law, HELD_LAW, dt, n_sub, PHYSICAL.params, PHYSICAL.geometry, log
         )
     except SimulationAbort as exc:
         return "abort", str(exc)
-    js = end.joints
-    floats = (
-        end.t, end.y_body, end.v_body, end.y_foot, end.v_foot,
-        js.theta_hip, js.theta_knee, js.thetad_hip, js.thetad_knee, *end.terms,
+    return event_bits(log.events), end.phase, bits((t, *state_floats(end)))
+
+
+def state_floats(state):
+    """Every float of a plant state, in field order."""
+    return (
+        state.y_body, state.v_body, state.y_foot, state.v_foot, state.theta_hip,
+        state.theta_knee, state.thetad_hip, state.thetad_knee, *state.terms,
     )
-    return event_bits(log.events), end.phase, bits(floats)
 
 
-@settings(max_examples=400, deadline=None)
-@given(
+def drawn_tick(phase, y_rel, y_foot, v_body, v_foot, torques, law):
+    """The start state, held command and continuous law (or None) of a drawn tick."""
+    state = make_state(phase, y_foot + y_rel, v_body, y_foot, v_foot, PHYSICAL.geometry)
+    tau_h, tau_k = torques
+    cmd = control.JointCommands(
+        control.TorqueCommand(tau_h, 35.0, tau_h), control.TorqueCommand(tau_k, 35.0, tau_k)
+    )
+    return state, cmd, None if law is None else (lambda y, a=law[0], b=law[1]: a + b * y)
+
+
+# one plant tick's inputs: a state, held torques or a continuous law, dt, n_sub
+TICKS = dict(
     phase=st.sampled_from(model.HopPhase),
     y_rel=st.floats(min_value=0.0, max_value=0.8),  # both leg stops and past them
     y_foot=FEET,
@@ -426,38 +440,53 @@ def tick_outcome(advance, state, cmd, law, dt, n_sub):
     v_foot=RATES,
     torques=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
     law=LAWS,
-    with_terms=st.booleans(),
     dt=st.sampled_from([2.5e-4, 2.5e-5]) | st.floats(min_value=1e-26, max_value=1e-3),
     n_sub=st.integers(min_value=1, max_value=4),
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(**TICKS)
 # a foot one ulp above contact height ends its substep exactly on it
 @example(
     phase=model.HopPhase.FLIGHT, y_rel=0.45, y_foot=math.nextafter(_EPS, 1.0), v_body=-1.0,
-    v_foot=-1.0, torques=(0.0, 0.0), law=None, with_terms=False, dt=1.1e-25, n_sub=1,
+    v_foot=-1.0, torques=(0.0, 0.0), law=None, dt=1.1e-25, n_sub=1,
 )
 # a stance pin force of exactly 0.0 at both ends of the substep
 @example(
     phase=model.HopPhase.STANCE, y_rel=0.45, y_foot=0.0, v_body=0.0, v_foot=0.0,
-    torques=(0.0, 0.0), law=(-_WEIGHT_E, 0.0), with_terms=False, dt=2.5e-4, n_sub=2,
+    torques=(0.0, 0.0), law=(-_WEIGHT_E, 0.0), dt=2.5e-4, n_sub=2,
 )
 def test_plant_tick_bitwise_equal_to_legacy_crossing(
-    phase, y_rel, y_foot, v_body, v_foot, torques, law, with_terms, dt, n_sub
+    phase, y_rel, y_foot, v_body, v_foot, torques, law, dt, n_sub
 ):
-    geo = PHYSICAL.geometry
-    y_body = y_foot + y_rel
-    terms = sim._leg_terms(y_body - y_foot, geo)
-    joints = sim._joints_from(terms, v_body - v_foot, geo)
-    state = sim.SimState(
-        0.0, phase, y_body, v_body, y_foot, v_foot, joints, terms if with_terms else None
-    )
-    tau_h, tau_k = torques
-    cmd = control.JointCommands(
-        control.TorqueCommand(tau_h, 35.0, tau_h), control.TorqueCommand(tau_k, 35.0, tau_k)
-    )
-    force_law = None if law is None else (lambda y, a=law[0], b=law[1]: a + b * y)
+    state, cmd, force_law = drawn_tick(phase, y_rel, y_foot, v_body, v_foot, torques, law)
     assert tick_outcome(sim._advance_tick, state, cmd, force_law, dt, n_sub) == tick_outcome(
         legacy_advance_tick, state, cmd, force_law, dt, n_sub
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**TICKS, t0=st.floats(min_value=0.0, max_value=30.0))
+def test_plant_tick_does_not_read_the_time(
+    phase, y_rel, y_foot, v_body, v_foot, torques, law, dt, n_sub, t0
+):
+    # sim.run replays a cycle because of this: one state and command give one
+    # end state and one sequence of events, whenever the tick starts
+    state, cmd, force_law = drawn_tick(phase, y_rel, y_foot, v_body, v_foot, torques, law)
+    outcomes = []
+    for t in (0.0, t0):
+        log = sim.TelemetryLog()
+        try:
+            end, _ = sim._advance_tick(
+                state, t, cmd, force_law, HELD_LAW, dt, n_sub, PHYSICAL.params,
+                PHYSICAL.geometry, log,
+            )
+            outcome = end.phase, bits(state_floats(end))
+        except SimulationAbort:
+            outcome = "abort"  # its message gives the time
+        outcomes.append((outcome, [(e.kind, bits((e.y_body, e.v_body))) for e in log.events]))
+    assert outcomes[0] == outcomes[1]
 
 
 # path under --out -> sha256 of each file that
@@ -1124,10 +1153,7 @@ def check_held_targets(params, y_body, v_body):
             ctrl.t_traj = t
             same(("t_traj", t))
         # enter a fit as a run does: a landing, then a stance leg still compressing
-        state = sim.SimState(
-            0.0, model.HopPhase.STANCE, y_body, -1.0, 0.0, 0.0,
-            sim.joint_state_for(y_body, -1.0, geo),
-        )
+        state = make_state(model.HopPhase.STANCE, y_body, -1.0, 0.0, 0.0, geo)
         ctrl.advance(2.5e-4, state, sim.Event("landing", 0.0, y_body, v_body))
         (b, phi), w = ctrl._landing, ctrl._omega
         # the fit's own clock one ulp either side of where its arg reaches pi

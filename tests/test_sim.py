@@ -9,24 +9,9 @@ from hypothesis import given, strategies as st
 from hopsim import analytic, control, kinematics, metrics, sim
 from hopsim.errors import ParameterError, SimulationAbort
 from hopsim.model import Gains, HopPhase, HopperParams, MotorParams
-from hopsim.sim import RunSetup, SimState
+from hopsim.sim import RunSetup
 
-from conftest import ORACLE_MOTOR, reference_to_csv
-
-
-def make_state(phase, y_body, v_body, y_foot, v_foot):
-    from hopsim.model import LegGeometry
-
-    geo = LegGeometry()
-    return SimState(
-        t=0.0,
-        phase=phase,
-        y_body=y_body,
-        v_body=v_body,
-        y_foot=y_foot,
-        v_foot=v_foot,
-        joints=sim.joint_state_for(y_body - y_foot, v_body - v_foot, geo),
-    )
+from conftest import ORACLE_MOTOR, make_state, reference_to_csv
 
 
 ZERO_TORQUE = control.JointCommands(
@@ -36,12 +21,14 @@ ZERO_TORQUE = control.JointCommands(
 
 
 def advance(state, n_sub, dt, bundle, force_law=None):
-    """``n_sub`` plant substeps under zero held torques (or a continuous
-    ``force_law``) through the run loop's tick; returns the state and log."""
+    """``n_sub`` plant substeps from time 0 under zero held torques (or a
+    continuous ``force_law``) through the run loop's tick; returns the end
+    state and the log."""
     log = sim.TelemetryLog()
     held_law = sim._held_force_law(bundle.geometry)
-    state = sim._advance_tick(
-        state, ZERO_TORQUE, force_law, held_law, dt, n_sub, bundle.params, bundle.geometry, log
+    state, _ = sim._advance_tick(
+        state, 0.0, ZERO_TORQUE, force_law, held_law, dt, n_sub, bundle.params, bundle.geometry,
+        log,
     )
     return state, log
 
@@ -52,9 +39,13 @@ class TestStep:
         state = make_state(HopPhase.FLIGHT, 0.9, 0.0, 0.45, 0.0)
         dt = 2.5e-4
         n = 40
-        state, log = advance(state, n, dt, b)
+        log = sim.TelemetryLog()
+        held_law = sim._held_force_law(b.geometry)
+        state, t = sim._advance_tick(
+            state, 0.0, ZERO_TORQUE, None, held_law, dt, n, b.params, b.geometry, log
+        )
         assert not log.events
-        assert state.t == pytest.approx(n * dt, rel=1e-12)
+        assert t == pytest.approx(n * dt, rel=1e-12)
         assert state.v_body == pytest.approx(-b.params.g * n * dt, abs=1e-12)
         assert state.v_foot == pytest.approx(-b.params.g * n * dt, abs=1e-12)
 
@@ -379,11 +370,11 @@ class TestRun:
     def test_leg_terms_evaluated_once_per_configuration(
         self, bundle_physical, monkeypatch, controller, dt
     ):
-        # Forces: four per RK4 substep (stages 2-4 and the end state), five
-        # per event (the event state and the remainder's substep) and the
-        # run's first; every later tick takes its first force from the leg
-        # terms the previous tick ended on.  Leg terms: one for the initial
-        # joint state and one for each tick's end state, nowhere else.
+        # Forces: four per RK4 substep (stages 2-4 and the end state) and
+        # five per event (the event state and the remainder's substep); every
+        # tick, the first too, takes its first force from the leg terms of
+        # its start state.  Leg terms: one for the initial state and one for
+        # each tick's end state, nowhere else.
         forces, terms = [], []
         law_factory, leg_terms = sim._held_force_law, sim._leg_terms
 
@@ -412,7 +403,7 @@ class TestRun:
         assert res.ok
         ticks = len(res.log.records) - 1
         assert setup.n_sub == round(2.5e-4 / dt)
-        assert len(forces) == 1 + 4 * setup.n_sub * ticks + 5 * len(res.log.events)
+        assert len(forces) == 4 * setup.n_sub * ticks + 5 * len(res.log.events)
         assert len(terms) == 1 + ticks
 
     def test_held_ticks_call_no_trajectory_or_inverse_kinematics(
@@ -517,7 +508,8 @@ class TestNonFiniteState:
         inner = sim._advance_tick
 
         def diverging(*args):
-            return dataclasses.replace(inner(*args), y_body=1e6)
+            end, t = inner(*args)
+            return dataclasses.replace(end, y_body=1e6), t
 
         monkeypatch.setattr(sim, "_advance_tick", diverging)
         res = sim.run(RunSetup(bundle=bundle_physical, controller="force", hops=1))
@@ -541,7 +533,7 @@ class TestNonFiniteState:
         y_foot = 0.45 if phase is HopPhase.FLIGHT else 0.0
         state = make_state(phase, 0.45 + y_foot, 0.0, y_foot, 0.0)
         if field == "terms":
-            state = dataclasses.replace(state, terms=(state.joints.theta_knee, math.nan, math.nan))
+            state = dataclasses.replace(state, terms=(state.theta_knee, math.nan, math.nan))
         else:
             state = dataclasses.replace(state, **{field: math.nan})
         forces = []
@@ -559,11 +551,12 @@ class TestNonFiniteState:
         log = sim.TelemetryLog()
         with pytest.raises(SimulationAbort, match=r"^non-finite state at t=0\.000250$"):
             sim._advance_tick(
-                state, ZERO_TORQUE, None, counting_held, 2.5e-4, 4, b.params, b.geometry, log
+                state, 0.0, ZERO_TORQUE, None, counting_held, 2.5e-4, 4, b.params, b.geometry,
+                log,
             )
         assert not log.events
-        # the start force (unless the terms give it) and RK4 stages 2-4: no end force
-        assert len(forces) == (3 if field == "terms" else 4)
+        # RK4 stages 2-4 (the leg terms give the start force): no end force
+        assert len(forces) == 3
 
 
 SATURATION_PAIRS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 0.0), (-1.0, -0.0),
@@ -580,7 +573,7 @@ def test_record_saturation_ratios_are_metrics_saturation_ratio(hip, knee):
     cmd = control.JointCommands(
         control.TorqueCommand(7.0, hip[1], hip[0]), control.TorqueCommand(-7.0, knee[1], knee[0])
     )
-    rec = sim._record_from(make_state(HopPhase.STANCE, 0.5, 0.0, 0.0, 0.0), cmd)
+    rec = sim._record_from(0.0, make_state(HopPhase.STANCE, 0.5, 0.0, 0.0, 0.0), cmd)
     assert type(rec) is sim.Record and len(rec) == len(sim.Record._fields)
     expected = [metrics.saturation_ratio(*hip), metrics.saturation_ratio(*knee)]
     assert struct.pack("<2d", rec.c_act_hip, rec.c_act_knee) == struct.pack("<2d", *expected)
